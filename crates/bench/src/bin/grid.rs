@@ -78,20 +78,7 @@ fn run_local(cli: &Cli) -> tss::GridReport {
             cli.shard.0, cli.shard.1, cli.shard.1
         );
     }
-    let (report, perf) = cli.run_grid_with_perf(grid);
-    if cli.threads > 1 {
-        // The one-line engagement summary (mirrors "remote cells
-        // cached"): with --threads > 1 users should be able to tell
-        // whether the per-cell frontier pool actually dispatched.
-        eprintln!(
-            "parallel frontier: {} events in {} instants / {} epochs ({} threads)",
-            perf.parallel_events,
-            perf.parallel_instants,
-            perf.parallel_epochs,
-            perf.parallel_threads,
-        );
-    }
-    report
+    cli.run_grid(grid)
 }
 
 fn main() {

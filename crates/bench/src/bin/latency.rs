@@ -50,7 +50,6 @@ fn main() {
     // neither content addressing nor sharding applies.
     cli.forbid_shard("latency");
     cli.forbid_resume("latency");
-    cli.forbid_threads("latency");
     cli.forbid_remote("latency");
     println!("Single-miss latencies (unloaded; Table 2's measured counterparts)\n");
     println!(

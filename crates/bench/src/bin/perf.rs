@@ -9,13 +9,15 @@
 //!
 //! ```json
 //! { "<bench name>": { "wall_ms": 812.4, "events": 5,000,000,
-//!                     "ns_per_event": 162.5, "seed": 0, "threads": 0 } }
+//!                     "ns_per_event": 162.5, "seed": 0,
+//!                     "scale": 0.015625, "seeds": 3, "host_cpus": 2 } }
 //! ```
 //!
-//! The `threads` field records the frontier-worker count the entry was
-//! measured with (0 = serial) — a host caveat, since a parallel entry
-//! measured on a 1-CPU container reads as a regression when it is only
-//! oversubscription.
+//! Every entry is stamped with what it measured: the workload `scale`
+//! (`null` for benches whose size does not scale), the perturbation
+//! `seeds` and the `host_cpus` it ran on. Detailed-network benches also
+//! record the net's own calendar entries (`net_events`) and the per-link
+//! token arrivals they stood for (`token_deliveries`).
 //!
 //! Entries the current run does not produce (e.g. the frozen
 //! `*@pre_pr4` before-numbers) are preserved on merge, so the artifact
@@ -23,7 +25,9 @@
 //! `ns_per_event` of every bench against the baseline's entry of the
 //! same name and fails the process if any ratio exceeds `--max-ratio`
 //! (default 5 — a catastrophe detector for CI, deliberately loose so
-//! host noise never flakes).
+//! host noise never flakes). A baseline entry whose stamp is missing or
+//! differs from the fresh run's is still compared, under a named
+//! warning: its ratio compares different workloads or hosts.
 //!
 //! ```sh
 //! cargo run --release -p tss-bench --bin perf              # full baseline
@@ -46,15 +50,12 @@ use tss_workloads::paper;
 
 /// Every bench this binary can run, in run order (the `--only` filter's
 /// vocabulary).
-const BENCH_NAMES: [&str; 11] = [
+const BENCH_NAMES: [&str; 8] = [
     "event_queue_micro",
     "fast_cell_oltp_butterfly",
     "tardis_oltp",
     "detailed_cell_oltp_torus",
     "detailed_torus256_serial",
-    "detailed_torus256_parallel",
-    "detailed_torus256_parallel@t2",
-    "detailed_torus256_parallel@t4",
     "fig3_fast_grid",
     "detailed_contention_grid",
     "remote_fast_grid",
@@ -64,7 +65,6 @@ struct Args {
     scale: f64,
     seeds: u64,
     seed: u64,
-    threads: usize,
     only: Option<Vec<String>>,
     json: PathBuf,
     check: Option<PathBuf>,
@@ -76,18 +76,12 @@ options:
   --scale <f>       workload scale factor (default 1/64)
   --seeds <n>       perturbation runs per grid cell (default 3)
   --seed <n>        workload seed (default 0)
-  --threads <n>     frontier workers for detailed_torus256_parallel
-                    (default 4; results are byte-identical to serial —
-                    this knob only moves wall clock; the @t2/@t4
-                    variants pin their own counts)
   --only <list>     run only these comma-separated benches (default all;
                     names: event_queue_micro, fast_cell_oltp_butterfly,
                     tardis_oltp,
                     detailed_cell_oltp_torus, detailed_torus256_serial,
-                    detailed_torus256_parallel,
-                    detailed_torus256_parallel@t2,
-                    detailed_torus256_parallel@t4, fig3_fast_grid,
-                    detailed_contention_grid, remote_fast_grid)
+                    fig3_fast_grid, detailed_contention_grid,
+                    remote_fast_grid)
   --json <path>     where to merge the results (default BENCH_hotpath.json)
   --check <path>    compare ns_per_event against this baseline and fail on blow-up
   --max-ratio <f>   blow-up threshold for --check (default 5.0)
@@ -98,7 +92,6 @@ fn parse_args() -> Result<Args, String> {
         scale: tss_bench::DEFAULT_SCALE,
         seeds: tss_bench::DEFAULT_SEEDS,
         seed: 0,
-        threads: 4,
         only: None,
         json: PathBuf::from("BENCH_hotpath.json"),
         check: None,
@@ -130,11 +123,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("bad --seeds {value:?}"))?;
             }
             "--seed" => args.seed = value.parse().map_err(|_| format!("bad --seed {value:?}"))?,
-            "--threads" => {
-                args.threads = value
-                    .parse()
-                    .map_err(|_| format!("bad --threads {value:?}"))?;
-            }
             "--only" => {
                 let names: Vec<String> = value.split(',').map(|n| n.trim().to_string()).collect();
                 for name in &names {
@@ -169,21 +157,69 @@ struct Measurement {
     wall_ms: f64,
     events: u64,
     seed: u64,
-    /// Frontier workers this entry was measured with (0 = serial) —
-    /// recorded in the artifact so a parallel number can be read in
-    /// host context (4 workers on a 1-CPU container is oversubscription,
-    /// not a regression).
-    threads: u64,
+    /// Workload scale the bench ran at (`None` when its size is fixed).
+    scale: Option<f64>,
+    /// Detailed-network calendar entries popped and the per-link token
+    /// arrivals they stood for (zero for benches without a detailed net).
+    net_events: u64,
+    token_deliveries: u64,
 }
 
 impl Measurement {
-    fn ns_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.wall_ms * 1e6 / self.events as f64
+    fn new(name: &'static str, wall_ms: f64, events: u64, seed: u64) -> Self {
+        Measurement {
+            name,
+            wall_ms,
+            events,
+            seed,
+            scale: None,
+            net_events: 0,
+            token_deliveries: 0,
         }
     }
+
+    /// Stamps the workload scale this bench ran at.
+    fn at_scale(self, scale: f64) -> Self {
+        Measurement {
+            scale: Some(scale),
+            ..self
+        }
+    }
+
+    /// Records the detailed net's event counts and prints them with the
+    /// host time per net event.
+    fn with_net(self, perf: &tss::HostPerf) -> Self {
+        let m = Measurement {
+            net_events: perf.net_events,
+            token_deliveries: perf.token_deliveries,
+            ..self
+        };
+        println!(
+            "  [{}] net events {}  token deliveries {}  ns/net event {:.1}",
+            m.name,
+            m.net_events,
+            m.token_deliveries,
+            per_event_ns(m.wall_ms, m.net_events)
+        );
+        m
+    }
+
+    fn ns_per_event(&self) -> f64 {
+        per_event_ns(self.wall_ms, self.events)
+    }
+}
+
+fn per_event_ns(wall_ms: f64, events: u64) -> f64 {
+    if events == 0 {
+        0.0
+    } else {
+        wall_ms * 1e6 / events as f64
+    }
+}
+
+/// Logical CPUs of the host, stamped into every entry.
+fn host_cpus() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
 }
 
 fn time<R>(f: impl FnOnce() -> R) -> (f64, R) {
@@ -215,13 +251,7 @@ fn event_queue_micro(seed: u64) -> Measurement {
         }
         std::hint::black_box(q.len())
     });
-    Measurement {
-        name: "event_queue_micro",
-        wall_ms,
-        events: POPS,
-        seed,
-        threads: 0,
-    }
+    Measurement::new("event_queue_micro", wall_ms, POPS, seed)
 }
 
 /// One full-scale cell: the fig3 fast-model hot path (protocol dispatch +
@@ -241,13 +271,13 @@ fn fast_cell(args: &Args) -> Measurement {
         "  [fast_cell_oltp_butterfly] events {}  alloc-free dispatches {}",
         result.stats.events_processed, result.perf.action_allocs_avoided
     );
-    Measurement {
-        name: "fast_cell_oltp_butterfly",
+    Measurement::new(
+        "fast_cell_oltp_butterfly",
         wall_ms,
-        events: result.stats.events_processed,
-        seed: args.seed,
-        threads: 0,
-    }
+        result.stats.events_processed,
+        args.seed,
+    )
+    .at_scale(args.scale)
 }
 
 /// The same fast-model cell on the Tardis timestamp-lease protocol: the
@@ -268,13 +298,13 @@ fn tardis_cell(args: &Args) -> Measurement {
         "  [tardis_oltp] events {}  lease renewals {}",
         result.stats.events_processed, result.stats.protocol.lease_renewals
     );
-    Measurement {
-        name: "tardis_oltp",
+    Measurement::new(
+        "tardis_oltp",
         wall_ms,
-        events: result.stats.events_processed,
-        seed: args.seed,
-        threads: 0,
-    }
+        result.stats.events_processed,
+        args.seed,
+    )
+    .at_scale(args.scale)
 }
 
 /// One full-scale detailed cell: the token-wave hot path under moderate
@@ -295,21 +325,20 @@ fn detailed_cell(args: &Args) -> Measurement {
         "  [detailed_cell_oltp_torus] events {}  waves skipped {}  alloc-free dispatches {}",
         result.stats.events_processed, result.perf.waves_skipped, result.perf.action_allocs_avoided
     );
-    Measurement {
-        name: "detailed_cell_oltp_torus",
+    Measurement::new(
+        "detailed_cell_oltp_torus",
         wall_ms,
-        events: result.stats.events_processed,
-        seed: args.seed,
-        threads: 0,
-    }
+        result.stats.events_processed,
+        args.seed,
+    )
+    .at_scale(args.scale)
+    .with_net(&result.perf)
 }
 
-/// The big-cell bench the parallel event loop exists for: a 256-node
-/// torus under the detailed model, where each token wave is a
-/// 512-event instant and the serial loop is the bottleneck. Run twice
-/// (serial, then `--threads` workers) so the artifact carries the
-/// parallel speedup as the ratio of the two ns/event entries.
-fn torus256_cell(args: &Args, threads: usize, name: &'static str) -> Measurement {
+/// The big-cell bench: a 256-node torus under the detailed model, where
+/// each token wave covers 512 vertices and the token network is nearly
+/// all of the host time.
+fn torus256_cell(args: &Args) -> Measurement {
     let (wall_ms, result) = time(|| {
         System::builder()
             .protocol(ProtocolKind::TsSnoop)
@@ -326,46 +355,35 @@ fn torus256_cell(args: &Args, threads: usize, name: &'static str) -> Measurement
             })
             .workload(paper::oltp(args.scale))
             .seed(args.seed)
-            .threads(threads)
             .build()
             .expect("valid config")
             .run()
     });
-    let ipe = if result.perf.parallel_epochs == 0 {
-        0.0
-    } else {
-        result.perf.parallel_instants as f64 / result.perf.parallel_epochs as f64
-    };
     println!(
-        "  [{name}] events {}  parallel instants {} covering {} net events \
-         in {} epochs ({:.2} instants/epoch, {} threads)",
-        result.stats.events_processed,
-        result.perf.parallel_instants,
-        result.perf.parallel_events,
-        result.perf.parallel_epochs,
-        ipe,
-        result.perf.parallel_threads
+        "  [detailed_torus256_serial] events {}  waves skipped {}",
+        result.stats.events_processed, result.perf.waves_skipped
     );
-    Measurement {
-        name,
+    Measurement::new(
+        "detailed_torus256_serial",
         wall_ms,
-        events: result.stats.events_processed,
-        seed: args.seed,
-        threads: threads as u64,
-    }
+        result.stats.events_processed,
+        args.seed,
+    )
+    .at_scale(args.scale)
+    .with_net(&result.perf)
 }
 
 /// A whole grid under the §4.3 methodology. `events` is the deterministic
 /// proxy used for the trajectory: the per-cell minimum-run event count
 /// summed over cells, times the perturbation runs.
 fn grid_bench(name: &'static str, args: &Args, net: NetworkModelSpec) -> Measurement {
-    let (wall_ms, report) = time(|| {
+    let (wall_ms, (report, perf)) = time(|| {
         ExperimentGrid::new(name)
             .nets([net])
             .workloads(paper::all(args.scale))
             .seeds([args.seed])
             .perturbation(tss_bench::DEFAULT_PERTURBATION_NS, args.seeds)
-            .run()
+            .run_with_perf()
             .expect("valid grid")
     });
     let events: u64 = report
@@ -374,12 +392,11 @@ fn grid_bench(name: &'static str, args: &Args, net: NetworkModelSpec) -> Measure
         .map(|c| c.stats.events_processed)
         .sum::<u64>()
         * args.seeds;
-    Measurement {
-        name,
-        wall_ms,
-        events,
-        seed: args.seed,
-        threads: 0,
+    let m = Measurement::new(name, wall_ms, events, args.seed).at_scale(args.scale);
+    if perf.net_events > 0 {
+        m.with_net(&perf)
+    } else {
+        m
     }
 }
 
@@ -420,18 +437,12 @@ fn remote_fast_grid(args: &Args) -> Measurement {
         .map(|c| c.stats.events_processed)
         .sum::<u64>()
         * args.seeds;
-    Measurement {
-        name: "remote_fast_grid",
-        wall_ms,
-        events,
-        seed: args.seed,
-        threads: 0,
-    }
+    Measurement::new("remote_fast_grid", wall_ms, events, args.seed).at_scale(args.scale)
 }
 
 /// Merges `fresh` into the JSON artifact at `path`, preserving entries of
 /// benches this run did not produce (historic `*@pre_pr4` records).
-fn merge_json(path: &PathBuf, fresh: &[Measurement]) -> std::io::Result<()> {
+fn merge_json(path: &PathBuf, args: &Args, fresh: &[Measurement]) -> std::io::Result<()> {
     // A present-but-unreadable artifact is an error, not a reset: silently
     // starting over would destroy the frozen `*@pre_pr4` history.
     let mut entries: Vec<(String, serde_json::Value)> = match std::fs::read_to_string(path) {
@@ -449,7 +460,7 @@ fn merge_json(path: &PathBuf, fresh: &[Measurement]) -> std::io::Result<()> {
         Err(e) => return Err(e),
     };
     for m in fresh {
-        let obj = serde_json::Value::Object(vec![
+        let mut fields = vec![
             ("wall_ms".into(), serde_json::Value::F64(round2(m.wall_ms))),
             ("events".into(), serde_json::Value::U64(m.events)),
             (
@@ -457,8 +468,16 @@ fn merge_json(path: &PathBuf, fresh: &[Measurement]) -> std::io::Result<()> {
                 serde_json::Value::F64(round2(m.ns_per_event())),
             ),
             ("seed".into(), serde_json::Value::U64(m.seed)),
-            ("threads".into(), serde_json::Value::U64(m.threads)),
-        ]);
+        ];
+        fields.extend(stamp(args, m));
+        if m.net_events > 0 {
+            fields.push(("net_events".into(), serde_json::Value::U64(m.net_events)));
+            fields.push((
+                "token_deliveries".into(),
+                serde_json::Value::U64(m.token_deliveries),
+            ));
+        }
+        let obj = serde_json::Value::Object(fields);
         match entries.iter_mut().find(|(k, _)| k == m.name) {
             Some((_, v)) => *v = obj,
             None => entries.push((m.name.to_string(), obj)),
@@ -473,12 +492,49 @@ fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
 }
 
+/// What an entry measured: workload scale, perturbation seeds and host
+/// CPUs. `--check` warns when a baseline entry's stamp differs.
+fn stamp(args: &Args, m: &Measurement) -> [(String, serde_json::Value); 3] {
+    [
+        (
+            "scale".into(),
+            m.scale
+                .map_or(serde_json::Value::Null, serde_json::Value::F64),
+        ),
+        ("seeds".into(), serde_json::Value::U64(args.seeds)),
+        ("host_cpus".into(), serde_json::Value::U64(host_cpus())),
+    ]
+}
+
+/// A numeric JSON value as f64 (`None` for anything else).
+fn as_f64(v: &serde_json::Value) -> Option<f64> {
+    match v {
+        serde_json::Value::F64(f) => Some(*f),
+        serde_json::Value::U64(u) => Some(*u as f64),
+        _ => None,
+    }
+}
+
+/// Stamp equality, numeric values compared by value (`1` == `1.0`).
+fn same_value(a: &serde_json::Value, b: &serde_json::Value) -> bool {
+    match (as_f64(a), as_f64(b)) {
+        (Some(x), Some(y)) => x == y,
+        _ => a == b,
+    }
+}
+
+fn show(v: &serde_json::Value) -> String {
+    serde_json::to_string(v).unwrap_or_default()
+}
+
 /// Compares fresh measurements against a committed baseline; returns the
-/// failures (bench name, fresh ns/event, baseline ns/event).
+/// failures (bench name, fresh ns/event, baseline ns/event). Prints a
+/// named warning for every compared baseline entry whose stamp is
+/// missing or differs from the fresh run's.
 fn check_against(
     baseline_path: &PathBuf,
+    args: &Args,
     fresh: &[Measurement],
-    max_ratio: f64,
 ) -> Result<Vec<(String, f64, f64)>, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
@@ -486,63 +542,33 @@ fn check_against(
         serde_json::from_str(&text).map_err(|e| format!("bad baseline JSON: {e}"))?;
     let mut failures = Vec::new();
     for m in fresh {
-        let Some(base) = baseline.get(m.name).and_then(|b| b.get("ns_per_event")) else {
+        let Some(entry) = baseline.get(m.name) else {
             continue; // new bench: nothing to regress against
         };
-        let base = match base {
-            serde_json::Value::F64(f) => *f,
-            serde_json::Value::U64(u) => *u as f64,
-            _ => continue,
+        let Some(base) = entry.get("ns_per_event").and_then(as_f64) else {
+            continue;
         };
-        if base > 0.0 && m.ns_per_event() > base * max_ratio {
+        for (key, want) in stamp(args, m) {
+            match entry.get(&key) {
+                None => eprintln!(
+                    "STAMP WARNING {}: baseline entry has no {key} stamp (this run: {})",
+                    m.name,
+                    show(&want)
+                ),
+                Some(have) if !same_value(have, &want) => eprintln!(
+                    "STAMP WARNING {}: baseline {key} {} differs from this run's {}",
+                    m.name,
+                    show(have),
+                    show(&want)
+                ),
+                Some(_) => {}
+            }
+        }
+        if base > 0.0 && m.ns_per_event() > base * args.max_ratio {
             failures.push((m.name.to_string(), m.ns_per_event(), base));
         }
     }
     Ok(failures)
-}
-
-/// The epoch-batching budget: when this run measured both the torus256
-/// serial bench and a >= 4-worker parallel one, the parallel entry must
-/// stay within 5% of the serial ns/event — the win batching locked in.
-/// Only meaningful on a host with >= 4 CPUs; elsewhere the workers just
-/// oversubscribe one core and the comparison says nothing, so the check
-/// reports itself skipped instead.
-fn check_parallel_budget(fresh: &[Measurement]) -> Result<(), String> {
-    const BUDGET: f64 = 1.05;
-    let Some(serial) = fresh.iter().find(|m| m.name == "detailed_torus256_serial") else {
-        return Ok(());
-    };
-    let Some(par) = fresh
-        .iter()
-        .find(|m| m.name.starts_with("detailed_torus256_parallel") && m.threads >= 4)
-    else {
-        return Ok(());
-    };
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cpus < 4 {
-        println!(
-            "parallel budget: skipped ({cpus} CPUs; {} workers would oversubscribe)",
-            par.threads
-        );
-        return Ok(());
-    }
-    if serial.events > 0 && par.ns_per_event() > serial.ns_per_event() * BUDGET {
-        return Err(format!(
-            "PERF REGRESSION {}: {:.1} ns/event vs serial {:.1} (> {:.0}% budget)",
-            par.name,
-            par.ns_per_event(),
-            serial.ns_per_event(),
-            (BUDGET - 1.0) * 100.0
-        ));
-    }
-    println!(
-        "parallel budget: {} at {:.1} ns/event within {:.0}% of serial {:.1}",
-        par.name,
-        par.ns_per_event(),
-        (BUDGET - 1.0) * 100.0,
-        serial.ns_per_event()
-    );
-    Ok(())
 }
 
 fn main() {
@@ -580,20 +606,7 @@ fn main() {
         measurements.push(detailed_cell(&args));
     }
     if wants("detailed_torus256_serial") {
-        measurements.push(torus256_cell(&args, 0, "detailed_torus256_serial"));
-    }
-    if wants("detailed_torus256_parallel") {
-        measurements.push(torus256_cell(
-            &args,
-            args.threads,
-            "detailed_torus256_parallel",
-        ));
-    }
-    if wants("detailed_torus256_parallel@t2") {
-        measurements.push(torus256_cell(&args, 2, "detailed_torus256_parallel@t2"));
-    }
-    if wants("detailed_torus256_parallel@t4") {
-        measurements.push(torus256_cell(&args, 4, "detailed_torus256_parallel@t4"));
+        measurements.push(torus256_cell(&args));
     }
     if wants("fig3_fast_grid") {
         measurements.push(grid_bench("fig3_fast_grid", &args, NetworkModelSpec::Fast));
@@ -624,14 +637,14 @@ fn main() {
         );
     }
 
-    if let Err(e) = merge_json(&args.json, &measurements) {
+    if let Err(e) = merge_json(&args.json, &args, &measurements) {
         eprintln!("error: cannot write {}: {e}", args.json.display());
         std::process::exit(2);
     }
     println!("\nmerged into {}", args.json.display());
 
     if let Some(baseline) = &args.check {
-        match check_against(baseline, &measurements, args.max_ratio) {
+        match check_against(baseline, &args, &measurements) {
             Ok(failures) if failures.is_empty() => {
                 println!(
                     "check vs {}: all benches within {}x of baseline ns/event",
@@ -653,10 +666,6 @@ fn main() {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             }
-        }
-        if let Err(e) = check_parallel_budget(&measurements) {
-            eprintln!("{e}");
-            std::process::exit(1);
         }
     }
 }

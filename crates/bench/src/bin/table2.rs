@@ -84,7 +84,6 @@ fn main() {
     // neither content addressing nor sharding applies.
     cli.forbid_shard("table2");
     cli.forbid_resume("table2");
-    cli.forbid_threads("table2");
     cli.forbid_remote("table2");
     let timing = Timing::default();
     println!("Table 2: Unloaded Network Timing Assumptions");

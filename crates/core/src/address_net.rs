@@ -76,10 +76,10 @@
 use std::sync::Arc;
 
 use tss_net::{
-    DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming, ParStats,
+    DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming,
     TrafficLedger,
 };
-use tss_sim::{FrontierPool, Gt, Time};
+use tss_sim::{Gt, Time};
 
 use crate::config::{NetworkModelSpec, Timing};
 
@@ -132,11 +132,17 @@ pub trait AddressNet<P>: Send {
         0
     }
 
-    /// Counters of the conservative parallel event loop (detailed model
-    /// with `threads >= 2`; all zero elsewhere). Host-side
-    /// instrumentation only — never part of the simulated state.
-    fn parallel_stats(&self) -> ParStats {
-        ParStats::default()
+    /// Calendar entries the detailed model's token networks popped, summed
+    /// over planes (0 for the fast model). Host-side instrumentation only
+    /// — never part of the simulated state.
+    fn net_events(&self) -> u64 {
+        0
+    }
+
+    /// Per-link token arrivals those calendar entries stood for (0 for
+    /// the fast model). Host-side instrumentation only.
+    fn token_deliveries(&self) -> u64 {
+        0
     }
 }
 
@@ -214,20 +220,6 @@ impl<P> DetailedAddressNet<P> {
         }
     }
 
-    /// Attaches a frontier pool of `threads` workers to every plane, so
-    /// large simulated instants run partitioned across threads (with
-    /// byte-identical results — see `tss_net::DetailedNet::set_pool`).
-    /// `threads < 2` is a no-op: one worker cannot beat the serial path.
-    pub fn parallelize(&mut self, threads: usize) -> &mut Self
-    where
-        P: Send + Sync + 'static,
-    {
-        if threads >= 2 {
-            self.net.set_pool(&Arc::new(FrontierPool::new(threads)));
-        }
-        self
-    }
-
     fn check_buffers(&self) {
         let high = self.net.switch_buffer_high_water();
         assert!(
@@ -283,8 +275,12 @@ impl<P: Send + Sync + 'static> AddressNet<P> for DetailedAddressNet<P> {
         self.net.waves_skipped()
     }
 
-    fn parallel_stats(&self) -> ParStats {
-        self.net.parallel_stats()
+    fn net_events(&self) -> u64 {
+        self.net.net_events()
+    }
+
+    fn token_deliveries(&self) -> u64 {
+        self.net.token_deliveries()
     }
 }
 
@@ -297,17 +293,14 @@ impl<P: Send + Sync + 'static> AddressNet<P> for DetailedAddressNet<P> {
 /// runs, near the era rollover in wraparound stress runs (which must be
 /// observationally identical — every GT comparison is wrapping-safe).
 ///
-/// `threads >= 2` attaches a frontier pool to the detailed model so its
-/// large simulated instants run partitioned across that many workers (a
-/// host-side knob: results are byte-identical at every value, which is
-/// why it never enters the cell identity). The fast model has no event
-/// loop to parallelize and ignores it.
+/// `threads` is ignored: both models run serially. It is kept so existing
+/// callers of this five-argument signature keep building.
 pub fn build_address_net<P: Send + Sync + 'static>(
     spec: NetworkModelSpec,
     timing: &Timing,
     fabric: Arc<Fabric>,
     gt_origin: Gt,
-    threads: usize,
+    _threads: usize,
 ) -> Box<dyn AddressNet<P>> {
     match spec {
         NetworkModelSpec::Fast => Box::new(FastAddressNet::new(
@@ -327,7 +320,7 @@ pub fn build_address_net<P: Send + Sync + 'static>(
             initial_slack,
             buffer_depth,
         } => {
-            let mut net = DetailedAddressNet::new(
+            Box::new(DetailedAddressNet::new(
                 fabric,
                 DetailedNetConfig {
                     link_latency: timing.d_switch,
@@ -337,9 +330,7 @@ pub fn build_address_net<P: Send + Sync + 'static>(
                     gt_origin,
                 },
                 buffer_depth,
-            );
-            net.parallelize(threads);
-            Box::new(net)
+            ))
         }
     }
 }
@@ -464,23 +455,23 @@ mod tests {
         assert!(detailed.next_ready().is_some());
     }
 
+    /// `build_address_net` ignores its `threads` argument: asking for a
+    /// parallel detailed net yields the serial one, delivery for delivery,
+    /// on a single-plane torus and on the four-plane butterfly.
     #[test]
     fn parallel_detailed_adapter_matches_serial_deliveries() {
-        let run = |threads: usize| {
-            let fabric = Arc::new(Fabric::torus4x4());
-            let mut net: DetailedAddressNet<u32> = DetailedAddressNet::new(
-                fabric,
-                DetailedNetConfig {
-                    link_occupancy: Duration::from_ns(40),
-                    ..DetailedNetConfig::default()
-                },
-                64,
+        let run = |fabric: Fabric, threads: usize| {
+            let mut net: Box<dyn AddressNet<u32>> = build_address_net(
+                NetworkModelSpec::detailed(5),
+                &Timing::default(),
+                Arc::new(fabric),
+                Gt::ZERO,
+                threads,
             );
-            net.parallelize(threads);
             for i in 0..12 {
                 net.inject(Time::from_ns(40 + i), NodeId((i % 16) as u16), i as u32);
             }
-            let log: Vec<(u16, u16, u64, u64, u32)> = poll_all(&mut net, 12 * 16)
+            let log: Vec<(u16, u16, u64, u64, u32)> = poll_all(net.as_mut(), 12 * 16)
                 .iter()
                 .map(|d| {
                     (
@@ -492,17 +483,43 @@ mod tests {
                     )
                 })
                 .collect();
-            (log, net.parallel_stats())
+            (log, net.net_events(), net.token_deliveries())
         };
-        let (serial, s0) = run(0);
-        assert_eq!(s0, ParStats::default(), "no pool means zeroed counters");
-        for threads in [2, 4] {
-            let (par, ps) = run(threads);
-            assert_eq!(par, serial, "diverged at {threads} threads");
-            assert_eq!(ps.threads, threads as u64);
-            assert!(ps.instants > 0, "frontier path never engaged");
-            assert!(ps.epochs > 0, "instants must arrive in dispatch epochs");
-            assert!(ps.epochs <= ps.instants);
+        for fabric in [Fabric::torus4x4, Fabric::butterfly16] {
+            let serial = run(fabric(), 0);
+            assert!(serial.1 > 0, "the detailed net popped nothing");
+            for threads in [2, 4] {
+                assert_eq!(
+                    run(fabric(), threads),
+                    serial,
+                    "diverged at {threads} threads"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn detailed_adapter_counts_its_net_events() {
+        let fabric = Arc::new(Fabric::torus4x4());
+        let mut fast = FastAddressNet::new(Arc::clone(&fabric), OrderedNetTiming::paper_default());
+        let mut net: DetailedAddressNet<u32> = DetailedAddressNet::new(
+            fabric,
+            DetailedNetConfig {
+                link_occupancy: Duration::from_ns(40),
+                ..DetailedNetConfig::default()
+            },
+            64,
+        );
+        for i in 0..12 {
+            fast.inject(Time::from_ns(40 + i), NodeId((i % 16) as u16), i as u32);
+            net.inject(Time::from_ns(40 + i), NodeId((i % 16) as u16), i as u32);
+        }
+        poll_all(&mut fast, 12 * 16);
+        poll_all(&mut net, 12 * 16);
+        assert_eq!((fast.net_events(), fast.token_deliveries()), (0, 0));
+        // Every popped entry is counted, and each token batch stands for
+        // at least one per-link arrival (several on switches).
+        assert!(net.net_events() > 0);
+        assert!(net.token_deliveries() > net.net_events());
     }
 }

@@ -61,7 +61,6 @@ pub struct SystemBuilder {
     verify: bool,
     record_observations: bool,
     gt_origin: u64,
-    threads: usize,
     drive: Drive,
 }
 
@@ -80,7 +79,6 @@ impl Default for SystemBuilder {
             verify: base.verify,
             record_observations: base.record_observations,
             gt_origin: base.gt_origin,
-            threads: base.threads,
             drive: Drive::Idle,
         }
     }
@@ -191,17 +189,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Runs the detailed address network's event loop on `threads` worker
-    /// threads (default 0 = serial; 1 is also serial). A harness knob for
-    /// wall-clock only: parallel results are byte-identical to serial —
-    /// the determinism battery in `tests/` asserts it — so, like
-    /// [`SystemBuilder::gt_origin`], it is excluded from the
-    /// configuration's serialized identity. The fast model ignores it.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Validates the configuration without building (cheap — no fabric
     /// construction), returning the would-be [`SystemConfig`].
     pub fn build_config(&self) -> Result<SystemConfig, ConfigError> {
@@ -224,7 +211,6 @@ impl SystemBuilder {
             verify: self.verify,
             record_observations: self.record_observations,
             gt_origin: self.gt_origin,
-            threads: self.threads,
         };
         let nodes = cfg.validate()? as usize;
         match &self.drive {

@@ -657,18 +657,10 @@ pub struct SystemConfig {
     /// the manual [`serde::Serialize`] impl below excludes it and cell
     /// keys stay unchanged.
     pub gt_origin: u64,
-    /// Worker threads for the conservative parallel event loop inside the
-    /// detailed address network; `0` (or `1`) runs serially.
-    ///
-    /// Like `gt_origin`, a *harness* knob excluded from the serialized
-    /// identity: a parallel run is byte-identical to the serial run (the
-    /// CI thread matrix compares them), so the thread count must never
-    /// split cell keys.
-    pub threads: usize,
 }
 
-// Manual impl instead of the derive so `gt_origin` and `threads` stay out
-// of the serialized form (see their docs). Field order must track
+// Manual impl instead of the derive so `gt_origin` stays out of the
+// serialized form (see its docs). Field order must track
 // declaration order exactly — cell keys hash this serialization.
 impl serde::Serialize for SystemConfig {
     fn to_value(&self) -> serde::Value {
@@ -713,7 +705,6 @@ impl SystemConfig {
             verify: false,
             record_observations: false,
             gt_origin: 0,
-            threads: 0,
         }
     }
 
@@ -1072,8 +1063,8 @@ mod tests {
         ));
     }
 
-    /// `gt_origin` and `threads` are harness knobs: two configs differing
-    /// only in them must serialize identically (cell keys hash this
+    /// `gt_origin` is a harness knob: two configs differing only in it
+    /// must serialize identically (cell keys hash this
     /// serialization), and the serialized field list must stay exactly the
     /// historical one.
     #[test]
@@ -1081,7 +1072,6 @@ mod tests {
         let base = SystemConfig::paper_default(ProtocolKind::TsSnoop, TopologyKind::Torus4x4);
         let mut shifted = base.clone();
         shifted.gt_origin = u64::MAX - 17;
-        shifted.threads = 8;
         let (a, b) = (
             serde::Serialize::to_value(&base),
             serde::Serialize::to_value(&shifted),

@@ -785,7 +785,6 @@ pub struct ExperimentGrid {
     resume: Option<PathBuf>,
     shard: ShardSpec,
     gt_origin: u64,
-    cell_threads: usize,
 }
 
 impl ExperimentGrid {
@@ -809,7 +808,6 @@ impl ExperimentGrid {
             resume: None,
             shard: ShardSpec::FULL,
             gt_origin: 0,
-            cell_threads: 0,
         }
     }
 
@@ -909,19 +907,6 @@ impl ExperimentGrid {
         self
     }
 
-    /// Runs each cell's detailed address network on `threads` frontier
-    /// workers (0/1 = serial). Like [`ExperimentGrid::gt_origin`], a
-    /// harness knob excluded from [`CellKey`]: parallel cells are
-    /// byte-identical to serial ones (asserted by the determinism
-    /// battery and the CI thread matrix), so cached cells stay valid
-    /// across thread counts. Distinct from [`ExperimentGrid::threads`],
-    /// which fans *cells* out across grid workers; this knob parallelizes
-    /// *inside* one cell — the only way to speed up a single huge cell.
-    pub fn cell_threads(mut self, threads: usize) -> Self {
-        self.cell_threads = threads;
-        self
-    }
-
     /// Number of cells this grid will run.
     pub fn cell_count(&self) -> usize {
         self.workloads.len()
@@ -985,7 +970,6 @@ impl ExperimentGrid {
                                 verify: self.verify,
                                 record_observations: false,
                                 gt_origin: self.gt_origin,
-                                threads: self.cell_threads,
                             };
                             // Fail fast on any invalid cell, including the
                             // cells other shards would run.
@@ -1032,9 +1016,9 @@ impl ExperimentGrid {
     }
 
     /// Like [`ExperimentGrid::run`], but also returns the host-side
-    /// counters accumulated over every simulated (non-cached) cell, so
-    /// callers can surface whether the parallel frontier engaged. The
-    /// counters never enter the report bytes.
+    /// counters accumulated over every simulated (non-cached) cell (e.g.
+    /// the detailed net's event counts `perf` prints). The counters never
+    /// enter the report bytes.
     pub fn run_with_perf(self) -> Result<(GridReport, HostPerf), ConfigError> {
         let store = match &self.resume {
             None => None,
@@ -1336,14 +1320,13 @@ mod tests {
         );
 
         // ...and the harness knobs that cannot are canonicalised out:
-        // a parallel (or gt-shifted) run is byte-identical to the serial
-        // origin-0 run, so cached cells must stay valid across them.
+        // a gt-shifted run is byte-identical to the origin-0 run, so
+        // cached cells must stay valid across them.
         let mut same = cfg.clone();
         same.verify = true;
         same.record_observations = true;
         same.perturbation_stream = 7;
         same.gt_origin = u64::MAX - 3;
-        same.threads = 8;
         assert_eq!(key, CellKey::compute(&same, &spec, 3));
     }
 
@@ -1461,8 +1444,8 @@ mod tests {
     /// Guard for the Tardis protocol-axis extension: adding the fourth
     /// `ProtocolKind` variant must not move a single pre-existing cell
     /// key, and the code-revision salt must not bump (existing results
-    /// did not change). Same style as the `gt_origin`/`threads`
-    /// exclusion guards in `config.rs`: the canonical serialized
+    /// did not change). Same style as the `gt_origin`
+    /// exclusion guard in `config.rs`: the canonical serialized
     /// identity is pinned byte-for-byte via its fingerprint.
     #[test]
     fn tardis_variant_leaves_existing_cell_keys_unchanged() {

@@ -133,29 +133,24 @@ pub struct HostPerf {
     /// Idle token waves the detailed address network skipped in closed
     /// form instead of simulating (0 under the fast model).
     pub waves_skipped: u64,
-    /// Simulated instants the detailed address network executed on the
-    /// parallel frontier pool (0 when serial or under the fast model).
-    pub parallel_instants: u64,
-    /// Events processed inside those parallel instants.
-    pub parallel_events: u64,
-    /// Pool dispatches those instants were batched into; `epochs <
-    /// instants` means slack-horizon windows amortized dispatch cost.
-    pub parallel_epochs: u64,
-    /// Frontier-pool worker threads attached (0 when serial).
-    pub parallel_threads: u64,
+    /// Calendar entries the detailed address network popped, summed over
+    /// planes (0 under the fast model) — the denominator of host time per
+    /// net event. The net's calendar is its own, so these are not part of
+    /// `events`.
+    pub net_events: u64,
+    /// Per-link token arrivals those entries stood for: each popped token
+    /// batch delivers one token per output link per firing.
+    pub token_deliveries: u64,
 }
 
 impl HostPerf {
-    /// Accumulates another run's counters (threads keeps the max — it is
-    /// a configuration echo, not additive work).
+    /// Accumulates another run's counters.
     pub fn absorb(&mut self, other: &HostPerf) {
         self.events += other.events;
         self.action_allocs_avoided += other.action_allocs_avoided;
         self.waves_skipped += other.waves_skipped;
-        self.parallel_instants += other.parallel_instants;
-        self.parallel_events += other.parallel_events;
-        self.parallel_epochs += other.parallel_epochs;
-        self.parallel_threads = self.parallel_threads.max(other.parallel_threads);
+        self.net_events += other.net_events;
+        self.token_deliveries += other.token_deliveries;
     }
 }
 
@@ -328,7 +323,7 @@ impl System {
                 &cfg.timing,
                 Arc::clone(&fabric),
                 tss_sim::Gt::from_raw(cfg.gt_origin),
-                cfg.threads,
+                0,
             )
         });
 
@@ -481,22 +476,16 @@ impl System {
             events_processed: self.events.events_processed(),
         };
         let events = stats.events_processed;
-        let par = self
-            .addr
-            .as_ref()
-            .map(|a| a.parallel_stats())
-            .unwrap_or_default();
+        let addr = self.addr.as_ref();
         RunResult {
             stats,
             observations: self.observations,
             perf: HostPerf {
                 events,
                 action_allocs_avoided: allocs_avoided,
-                waves_skipped: self.addr.as_ref().map_or(0, |a| a.waves_skipped()),
-                parallel_instants: par.instants,
-                parallel_events: par.events,
-                parallel_epochs: par.epochs,
-                parallel_threads: par.threads,
+                waves_skipped: addr.map_or(0, |a| a.waves_skipped()),
+                net_events: addr.map_or(0, |a| a.net_events()),
+                token_deliveries: addr.map_or(0, |a| a.token_deliveries()),
             },
         }
     }
@@ -571,7 +560,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TopologyKind;
+    use crate::config::{NetworkModelSpec, TopologyKind};
     use tss_workloads::micro;
 
     fn cfg(p: ProtocolKind, t: TopologyKind) -> SystemConfig {
@@ -770,14 +759,15 @@ mod tests {
 
     /// `GridReport` bytes are pinned across PRs, so [`SystemStats`] must
     /// keep exactly its historical field set — host-side counters (the
-    /// parallel frontier ones in particular) belong in [`HostPerf`],
-    /// which is never serialized.
+    /// detailed net's event counts, like the parallel-loop counters they
+    /// replaced) belong in [`HostPerf`], which is never serialized.
     #[test]
     fn parallel_counters_stay_out_of_serialized_stats() {
-        let r = System::run_traces(
-            cfg(ProtocolKind::TsSnoop, TopologyKind::Torus4x4),
-            micro::ping_pong(10, 20),
-        );
+        let mut detailed = cfg(ProtocolKind::TsSnoop, TopologyKind::Torus4x4);
+        detailed.net = NetworkModelSpec::detailed(5);
+        let r = System::run_traces(detailed, micro::ping_pong(10, 20));
+        assert!(r.perf.net_events > 0, "the detailed net popped nothing");
+        assert!(r.perf.token_deliveries > r.perf.net_events);
         let serde::Value::Object(entries) = serde::Serialize::to_value(&r.stats) else {
             panic!("SystemStats must serialize as an object");
         };

@@ -56,8 +56,7 @@ mod unicast;
 pub use fast::{Delivery, FastOrderedNet, HopTiming, OrderedNetTiming};
 pub use ids::{LinkId, NodeId, Vertex};
 pub use token::{
-    DetailedDelivery, DetailedNet, DetailedNetConfig, DetailedNetStats, MultiPlaneNet, ParStats,
-    SwitchCore, PAR_THRESHOLD,
+    DetailedDelivery, DetailedNet, DetailedNetConfig, DetailedNetStats, MultiPlaneNet, SwitchCore,
 };
 pub use topology::{BroadcastTree, Fabric, FabricKind, Link, TreeEdge};
 pub use traffic::{MsgClass, TrafficLedger, MSG_CLASSES};

@@ -18,14 +18,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use tss_sim::pool::FrontierPool;
 use tss_sim::{Gt, GtKey, Time};
 
 use crate::ids::NodeId;
 use crate::topology::Fabric;
 use crate::traffic::{MsgClass, TrafficLedger};
 
-use super::net::{DetailedDelivery, DetailedNet, DetailedNetConfig, ParStats};
+use super::net::{DetailedDelivery, DetailedNet, DetailedNetConfig};
 
 #[derive(Debug)]
 struct MergeEntry<P> {
@@ -115,26 +114,16 @@ impl<P> MultiPlaneNet<P> {
         }
     }
 
-    /// Counters of the parallel frontier path, aggregated over planes
-    /// (instants and events sum; the thread count is the max attached).
-    pub fn parallel_stats(&self) -> ParStats {
-        let mut agg = ParStats::default();
-        for p in &self.planes {
-            agg.absorb(&p.parallel_stats());
-        }
-        agg
+    /// Calendar entries popped across all planes (host-side
+    /// instrumentation; see [`DetailedNet::net_events`]).
+    pub fn net_events(&self) -> u64 {
+        self.planes.iter().map(DetailedNet::net_events).sum()
     }
-}
 
-impl<P: Send + Sync + 'static> MultiPlaneNet<P> {
-    /// Attaches one frontier pool to every plane (see
-    /// [`DetailedNet::set_pool`]); planes still run sequentially relative
-    /// to each other, but each plane's large instants fan out over the
-    /// pool.
-    pub fn set_pool(&mut self, pool: &Arc<FrontierPool>) {
-        for p in &mut self.planes {
-            p.set_pool(Arc::clone(pool));
-        }
+    /// Per-link token arrivals across all planes (see
+    /// [`DetailedNet::token_deliveries`]).
+    pub fn token_deliveries(&self) -> u64 {
+        self.planes.iter().map(DetailedNet::token_deliveries).sum()
     }
 
     /// Broadcasts `payload` from `src` on the next plane in round-robin
@@ -175,36 +164,6 @@ impl<P: Send + Sync + 'static> MultiPlaneNet<P> {
                 p.fast_forward_idle(t);
             }
         }
-        if self.planes.len() == 1 {
-            // Single-plane shortcut: with one plane the min-GT frontier
-            // *is* that plane's own endpoint GT, and the release
-            // condition (`key.gt() < gt_min`) is exactly the condition
-            // the plane's own reorder drain already enforced — so every
-            // delivery's gate opens at its `processed_at`, and the heap
-            // drains completely at every collect. The plane can
-            // therefore run the whole span in one call (which is what
-            // lets its epoch batching see multi-horizon windows), with
-            // the per-horizon merge replayed afterwards from the
-            // `processed_at` groups — byte-identical to horizon-by-
-            // horizon stepping, including stamps and per-instant
-            // (node, key) release order.
-            self.planes[0].run_until(t);
-            let mut it = self.planes[0].take_deliveries().into_iter().peekable();
-            while let Some(d) = it.next() {
-                let at = d.processed_at;
-                self.push_merge(0, d);
-                while it.peek().is_some_and(|n| n.processed_at == at) {
-                    let d = it.next().expect("peeked");
-                    self.push_merge(0, d);
-                }
-                self.release_frontier(at);
-                debug_assert!(
-                    self.merge_pending == 0,
-                    "single-plane release held a delivery past its gate"
-                );
-            }
-            return;
-        }
         while let Some(next) = self
             .planes
             .iter()
@@ -221,23 +180,6 @@ impl<P: Send + Sync + 'static> MultiPlaneNet<P> {
         for p in &mut self.planes {
             p.run_until(t);
         }
-    }
-}
-
-impl<P> MultiPlaneNet<P> {
-    /// Pushes one plane delivery into its endpoint's merge heap.
-    fn push_merge(&mut self, plane: usize, d: DetailedDelivery<P>) {
-        // Per-source sequence numbers are per-plane; recover a
-        // global tiebreak from (plane count, seq) structure:
-        // within one source, plane assignment is round-robin,
-        // so (seq * planes + plane) restores injection order.
-        let seq_global = d.seq * self.planes.len() as u64 + plane as u64;
-        let e = MergeEntry {
-            key: GtKey::with_src_seq(d.ot, d.src.0, seq_global),
-            delivery: d,
-        };
-        self.merge[e.delivery.dest.index()].push(Reverse(e));
-        self.merge_pending += 1;
     }
 
     /// Releases every merged entry below its node's min-GT frontier,
@@ -266,9 +208,16 @@ impl<P> MultiPlaneNet<P> {
     /// Collects per-plane deliveries into the per-endpoint merge heaps and
     /// releases everything below the min-GT frontier, stamped `at`.
     fn collect_and_release(&mut self, at: Time) {
-        for plane in 0..self.planes.len() {
-            for d in self.planes[plane].take_deliveries() {
-                self.push_merge(plane, d);
+        let planes = self.planes.len() as u64;
+        for (plane, net) in self.planes.iter_mut().enumerate() {
+            for d in net.drain_deliveries() {
+                // Per-source sequence numbers are per-plane; recover a
+                // global tiebreak from (plane count, seq) structure:
+                // within one source, plane assignment is round-robin,
+                // so (seq * planes + plane) restores injection order.
+                let key = GtKey::with_src_seq(d.ot, d.src.0, d.seq * planes + plane as u64);
+                self.merge[d.dest.index()].push(Reverse(MergeEntry { key, delivery: d }));
+                self.merge_pending += 1;
             }
         }
         if self.merge_pending == 0 {

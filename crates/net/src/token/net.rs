@@ -1,64 +1,38 @@
 //! Event-driven simulation of the full token-passing address network.
 //!
-//! # Conservative parallel execution
+//! # The event loop
 //!
-//! The event loop can optionally run one simulated instant's events in
-//! parallel ([`DetailedNet::set_pool`]): the whole head instant is popped
-//! from the calendar, its events are split by **owner vertex** (a
-//! `Deliver` belongs to the link's destination, a `LinkFree` to the
-//! link's source) across vertex partitions, each partition processes its
-//! share concurrently against its own slice of the mutable state, and
-//! the emitted events/deliveries are merged back in the exact order the
-//! serial loop would have produced. Three facts make the result
-//! byte-identical to a serial run:
+//! Each plane runs one serial calendar. [`DetailedNet::run_until`] pops
+//! the head instant's events wholesale and handles them in FIFO order
+//! against the net's own state; handlers schedule their follow-ups
+//! straight into the same calendar. No handler ever schedules *at* the
+//! instant being processed — every emission is at least one link latency
+//! or one link-occupancy period ahead — so popping an instant wholesale
+//! is exactly equivalent to popping it event by event.
 //!
-//! 1. every piece of state an event mutates (its owner's switch core and
-//!    reorder queue, the occupancy of the owner's *outgoing* links)
-//!    belongs to exactly one partition, so concurrent partitions never
-//!    touch each other's state;
-//! 2. no handler ever schedules *at* the current instant (every emission
-//!    is at least one link latency or occupancy period in the future),
-//!    so the popped instant is closed and partitions need no intra-
-//!    instant synchronization — the guarantee-time machinery itself is
-//!    the conservative-PDES lookahead;
-//! 3. the merge replays each partition's emissions in original pop order
-//!    of their parent events, so calendar FIFO sequence numbers — and
-//!    with them every later tie-break — are assigned exactly as in the
-//!    serial run.
+//! # Token batches
 //!
-//! # Epoch batching (slack-horizon windows)
+//! Tokens outnumber transactions by an order of magnitude (every link
+//! carries one token per wave), so they travel in batches. When a vertex
+//! fires its propagation handshake `k` times, it sends `k` tokens on each
+//! of its output links, all arriving one link latency later. Instead of
+//! `k × out_degree` per-link events, [`DetailedNet`] schedules one
+//! `Ev::Tokens { from, count: k }`, whose handler walks `count` rounds of
+//! the vertex's output links in port order, delivering one token per link
+//! per round.
 //!
-//! Dispatch cost is paid per fan-out, so the loop batches *windows* of
-//! consecutive instants into one dispatch epoch wherever the lookahead
-//! allows ([`EventQueue::pop_window_into`]). The window bound is the
-//! net's **lookahead** — at most one `link_latency` — and one further
-//! fact extends the per-instant argument to whole windows:
-//!
-//! 4. every `Deliver` emission is scheduled exactly `link_latency` after
-//!    its parent, so for a window spanning at most `link_latency` ns it
-//!    lands *past* the window's end; the only emissions that can land
-//!    inside the window are `LinkFree` re-arms, and a `LinkFree` is
-//!    always owned by the very vertex that emitted it. Cross-partition
-//!    traffic therefore never targets an in-window instant, and each
-//!    partition can run its whole window slice — pre-popped events plus
-//!    its own in-window emissions, offset by offset through a private
-//!    mini-calendar (`StepOut::win_buckets`) — without synchronizing.
-//!
-//! The merge then replays the window in (instant, parent-pop-order): per
-//! offset it consumes the pre-popped events' labels first (calendar pop
-//! order), then appends each consumed parent's in-window emission labels
-//! to their target offsets — by induction this is exactly the order the
-//! serial loop pops and schedules, so calendar FIFO sequence numbers,
-//! delivery order and every stats fold stay byte-identical. Safety never
-//! depends on *which* instants the window happens to contain: any bound
-//! in `[1, link_latency]` is valid (the property suite sweeps random
-//! ones), and a bound of 1 degenerates to the per-instant loop above.
+//! The batch is exact. The per-link events it stands for would have been
+//! scheduled back to back at one instant, with nothing scheduled between
+//! them, so FIFO order would have processed them consecutively in exactly
+//! the handler's order — and since no handler schedules at the current
+//! instant, nothing can be interleaved with them while they are
+//! processed. Every emission therefore happens in the same order as with
+//! per-link events, and so does every later calendar tie-break.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-use tss_sim::pool::{FrontierPool, Job};
 use tss_sim::stats::LatencyStat;
 use tss_sim::{Duration, EventQueue, Gt, GtKey, Time};
 
@@ -171,22 +145,28 @@ impl<P> Clone for FlightTxn<P> {
     }
 }
 
-/// What travels over a link. Tokens outnumber transactions by orders of
-/// magnitude (every link carries one token per wave), so the transaction
-/// payload is boxed: an `Item` — and with it every calendar event — is
-/// one word plus the link id, and the token hot path never memcpys the
-/// fat `FlightTxn`.
-#[derive(Debug)]
-enum Item<P> {
-    Token,
-    Txn(Box<FlightTxn<P>>),
-}
-
+/// A calendar event. Transaction payloads are boxed so the token hot
+/// path never moves the fat `FlightTxn`: every event is two words.
 #[derive(Debug)]
 enum Ev<P> {
-    Deliver { link: LinkId, item: Item<P> },
+    /// `count` tokens on every output link of `from`, round by round (see
+    /// the module docs).
+    Tokens { from: Vertex, count: u32 },
+    /// A transaction arriving over `link`.
+    Txn {
+        link: LinkId,
+        txn: Box<FlightTxn<P>>,
+    },
+    /// `link` may have become free for a buffered transaction.
     LinkFree { link: LinkId },
 }
+
+// The token hot path moves these by the million: keep every calendar
+// entry two words.
+const _: () = assert!(
+    std::mem::size_of::<Ev<()>>() <= 16,
+    "detailed-net calendar event grew past 2 words"
+);
 
 #[derive(Debug)]
 struct ReorderEntry<P> {
@@ -230,215 +210,21 @@ impl<P> Default for EndpointExtra<P> {
     }
 }
 
-/// Read-only per-plane topology tables, shared (`Arc`) between the net
-/// and every partition worker.
+/// Read-only per-plane routing tables.
 #[derive(Debug)]
 struct PlaneTopo {
+    /// Per-link output-port index at the link's source vertex.
     out_port_idx: Vec<u32>,
     /// Per-link `(destination vertex, destination in-port)` — the two
     /// facts every delivery needs, packed into one lookup.
     link_dest: Vec<(u32, u32)>,
-    vertex_out_links: Vec<Vec<LinkId>>,
+    /// Output links of vertex `v`, as `(destination vertex, in-port)`
+    /// pairs in port order, are `out_dest[out_start[v]..out_start[v + 1]]`
+    /// — all a token batch needs.
+    out_start: Vec<u32>,
+    out_dest: Vec<(u32, u32)>,
     num_nodes: usize,
 }
-
-/// Everything one event's processing emits, buffered instead of applied
-/// directly: the serial loop applies it after each event, the parallel
-/// loop merges whole per-partition batches in parent-event order.
-#[derive(Debug)]
-struct StepOut<P> {
-    /// Events to schedule, in emission order (always strictly after the
-    /// window being processed).
-    emissions: Vec<(Time, Ev<P>)>,
-    deliveries: Vec<DetailedDelivery<P>>,
-    /// Per processed event: (emissions len, deliveries len, in-window
-    /// emissions len) afterwards — the merge uses these to interleave
-    /// partitions by parent order.
-    marks: Vec<(u32, u32, u32)>,
-    /// Window offsets of the in-window emissions, in emission order —
-    /// the merge replays these as (offset, label) pairs so later offsets
-    /// interleave partitions exactly as the serial schedule order would.
-    win_times: Vec<u32>,
-    /// In-window emissions bucketed by window offset: this partition's
-    /// private mini-calendar, drained by its own per-offset loop
-    /// (`step_partition`). Only ever holds same-partition events (fact 4
-    /// of the module docs).
-    win_buckets: Vec<Vec<Ev<P>>>,
-    /// Endpoint-copies processed (each also decrements the outstanding
-    /// count by one).
-    processed: u64,
-    parked_delta: isize,
-    link_free_delta: isize,
-    buffer_high_water: usize,
-    ordering_delay: LatencyStat,
-}
-
-impl<P> Default for StepOut<P> {
-    fn default() -> Self {
-        StepOut {
-            emissions: Vec::new(),
-            deliveries: Vec::new(),
-            marks: Vec::new(),
-            win_times: Vec::new(),
-            win_buckets: Vec::new(),
-            processed: 0,
-            parked_delta: 0,
-            link_free_delta: 0,
-            buffer_high_water: 0,
-            ordering_delay: LatencyStat::new(),
-        }
-    }
-}
-
-impl<P> StepOut<P> {
-    /// Resets the scalar effects after they were applied (the vectors are
-    /// drained by the caller, keeping their allocations).
-    fn reset(&mut self) {
-        debug_assert!(self.emissions.is_empty() && self.deliveries.is_empty());
-        debug_assert!(self.win_times.is_empty() && self.win_buckets.iter().all(Vec::is_empty));
-        self.marks.clear();
-        self.processed = 0;
-        self.parked_delta = 0;
-        self.link_free_delta = 0;
-        self.buffer_high_water = 0;
-        self.ordering_delay = LatencyStat::new();
-    }
-}
-
-/// Counters describing how much of a detailed run executed on the
-/// parallel frontier path (serial fallback instants — below the
-/// [`PAR_THRESHOLD`] event count — are not counted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParStats {
-    /// Simulated (calendar-popped) instants whose events ran on the
-    /// frontier pool.
-    pub instants: u64,
-    /// Events processed inside those instants (as popped; in-window
-    /// emissions processed inside an epoch ride on top).
-    pub events: u64,
-    /// Dispatch epochs: each is one pool fan-out covering a whole
-    /// lookahead window of instants. `epochs < instants` is the proof
-    /// that slack-horizon batching engaged (amortized dispatch);
-    /// `epochs == instants` means every window held a single instant
-    /// (zero-lookahead configs, or instants spaced at full link
-    /// latency).
-    pub epochs: u64,
-    /// Worker threads of the attached pool (0 = serial).
-    pub threads: u64,
-}
-
-impl ParStats {
-    /// Folds another counter set into this one (plane aggregation).
-    pub fn absorb(&mut self, other: &ParStats) {
-        self.instants += other.instants;
-        self.events += other.events;
-        self.epochs += other.epochs;
-        self.threads = self.threads.max(other.threads);
-    }
-
-    /// Mean window width: parallel instants per dispatch epoch (1.0 when
-    /// batching never merged consecutive instants; 0.0 before any epoch
-    /// ran).
-    pub fn instants_per_epoch(&self) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.instants as f64 / self.epochs as f64
-        }
-    }
-}
-
-/// A vertex → partition assignment plus the ownership lists derived from
-/// it: the vertices of each partition and the links they *send* on
-/// (whose occupancy state they alone may touch).
-#[derive(Debug)]
-struct Partitions {
-    of_vertex: Vec<u32>,
-    vertices: Vec<Vec<u32>>,
-    links: Vec<Vec<u32>>,
-}
-
-impl Partitions {
-    /// Builds the ownership lists for `count` partitions from an explicit
-    /// per-vertex assignment. Only links of `plane` are listed — other
-    /// planes' occupancy slots are never touched through this net.
-    fn new(of_vertex: Vec<u32>, count: usize, fabric: &Fabric, plane: usize) -> Self {
-        let mut vertices: Vec<Vec<u32>> = vec![Vec::new(); count];
-        for (v, &p) in of_vertex.iter().enumerate() {
-            vertices[p as usize].push(v as u32);
-        }
-        let mut links: Vec<Vec<u32>> = vec![Vec::new(); count];
-        for (i, l) in fabric.links().iter().enumerate() {
-            if l.plane == plane as u32 {
-                links[of_vertex[l.from.index()] as usize].push(i as u32);
-            }
-        }
-        Partitions {
-            of_vertex,
-            vertices,
-            links,
-        }
-    }
-}
-
-/// One partition's working state: full-length mirrors of the mutable
-/// engine arrays, with only the owned entries populated (swapped in for
-/// the duration of one instant). Full-length mirrors keep the engine's
-/// indexing identical between serial and parallel runs at the cost of
-/// `partitions × links` mostly-empty slots — kilobytes even for a
-/// 1024-node fabric.
-#[derive(Debug)]
-struct PartScratch<P> {
-    cores: Vec<Option<SwitchCore<FlightTxn<P>>>>,
-    endpoints: Vec<EndpointExtra<P>>,
-    next_free: Vec<Time>,
-    free_scheduled: Vec<bool>,
-    /// This partition's slice of the epoch window, in pop order.
-    events: Vec<Ev<P>>,
-    /// Window offset (ns past the window start) of each entry of
-    /// `events`, non-decreasing — pop order walks the window's instants
-    /// in time order.
-    event_offs: Vec<u32>,
-    out: StepOut<P>,
-}
-
-impl<P> PartScratch<P> {
-    fn new(num_vertices: usize, num_nodes: usize, num_links: usize) -> Self {
-        PartScratch {
-            cores: (0..num_vertices).map(|_| None).collect(),
-            endpoints: (0..num_nodes).map(|_| EndpointExtra::default()).collect(),
-            next_free: vec![Time::ZERO; num_links],
-            free_scheduled: vec![false; num_links],
-            events: Vec::new(),
-            event_offs: Vec::new(),
-            out: StepOut::default(),
-        }
-    }
-}
-
-/// The parallel-execution attachment of a [`DetailedNet`].
-#[derive(Debug)]
-struct ParState<P> {
-    pool: Arc<FrontierPool>,
-    parts: Partitions,
-    /// One persistent scratch per partition (`None` while lent to a job).
-    scratch: Vec<Option<PartScratch<P>>>,
-    /// Minimum events in an instant before it is dispatched to the pool
-    /// (smaller instants run serially on the caller). Sized to the plane's
-    /// full token wave at construction; see [`PAR_THRESHOLD`].
-    threshold: usize,
-    stats: ParStats,
-}
-
-/// The floor of the parallel-dispatch threshold: instants with fewer
-/// events than this always run on the caller thread even when a pool is
-/// attached. The effective threshold is `max(PAR_THRESHOLD, plane links
-/// / 2)` — dispatch overhead (worker wakeups, one boxed job and channel
-/// round-trip per partition) is paid per *instant*, so only instants on
-/// the order of a full token wave (one event per plane link) are worth
-/// fanning out. Byte-identity is unaffected — both paths produce the
-/// same bytes — so the cutover is a pure perf knob.
-pub const PAR_THRESHOLD: usize = 8;
 
 /// The detailed (switch-by-switch, token-by-token) timestamp network.
 ///
@@ -474,9 +260,7 @@ pub struct DetailedNet<P> {
     now: Time,
     next_free: Vec<Time>,
     free_scheduled: Vec<bool>,
-    /// Shared read-only routing tables (one `Arc` per plane, cloned into
-    /// every partition job).
-    topo: Arc<PlaneTopo>,
+    topo: PlaneTopo,
     /// Transaction copies parked in endpoint reorder queues (skip the
     /// per-wave per-node reorder peeks when zero).
     reorder_parked: usize,
@@ -485,8 +269,9 @@ pub struct DetailedNet<P> {
     ordering_delay: LatencyStat,
     injected: u64,
     processed: u64,
-    /// Links participating in this plane (= token events per idle wave).
-    plane_links: usize,
+    /// Vertices participating in this plane (= token batches per idle
+    /// wave).
+    plane_vertices: usize,
     /// `Ev::LinkFree` events currently scheduled (blocks fast-forward).
     link_free_pending: usize,
     /// Endpoint-copies injected but not yet processed, maintained per step
@@ -500,28 +285,17 @@ pub struct DetailedNet<P> {
     /// observed, maintained on the (rare) buffering path so the per-poll
     /// provisioning check is O(1).
     buffer_high_water: usize,
-    /// Per-link stamp (vs `ff_generation`) for the one-token-per-link
+    /// Calendar entries popped (host-side instrumentation).
+    net_events: u64,
+    /// Per-link token arrivals those entries stood for.
+    token_deliveries: u64,
+    /// Per-vertex stamp (vs `ff_generation`) for the one-batch-per-vertex
     /// check, so a fast-forward attempt needs no clearing pass.
-    link_stamp: Vec<u64>,
-    /// Generation counter for `link_stamp`.
+    vertex_stamp: Vec<u64>,
+    /// Generation counter for `vertex_stamp`.
     ff_generation: u64,
-    /// Reusable effect buffer for the serial path.
-    scratch_out: StepOut<P>,
-    /// Reusable epoch-window buffer.
+    /// Reusable buffer for the popped head instant.
     instant_buf: Vec<Ev<P>>,
-    /// Partition of each event of the window being merged, in pop order.
-    parent_order: Vec<u32>,
-    /// Reusable `(instant, event count)` spans of the popped window.
-    window_spans: Vec<(Time, u32)>,
-    /// Reusable per-offset replay label queues of the window merge.
-    replay_q: Vec<Vec<u32>>,
-    /// Epoch window bound (ns): consecutive instants within `lookahead`
-    /// of the window start batch into one dispatch epoch. At most
-    /// `link_latency` (the cross-partition propagation bound — see the
-    /// module docs); 1 disables batching (one instant per epoch).
-    lookahead: u64,
-    /// Attached thread pool + partitioning (`None` = serial).
-    par: Option<ParState<P>>,
 }
 
 impl<P> DetailedNet<P> {
@@ -568,36 +342,28 @@ impl<P> DetailedNet<P> {
             }
         }
 
-        let plane_links = fabric
-            .links()
-            .iter()
-            .filter(|l| l.plane == cfg.plane as u32)
-            .count();
+        let plane_vertices = cores.iter().flatten().count();
         let link_dest: Vec<(u32, u32)> = fabric
             .links()
             .iter()
             .enumerate()
             .map(|(i, l)| (l.to.0, in_port_idx[i]))
             .collect();
-        let topo = Arc::new(PlaneTopo {
+        let mut out_start = Vec::with_capacity(nv + 1);
+        let mut out_dest = Vec::new();
+        for links in &vertex_out_links {
+            out_start.push(out_dest.len() as u32);
+            out_dest.extend(links.iter().map(|l| link_dest[l.index()]));
+        }
+        out_start.push(out_dest.len() as u32);
+        let topo = PlaneTopo {
             out_port_idx,
             link_dest,
-            vertex_out_links,
+            out_start,
+            out_dest,
             num_nodes: fabric.num_nodes(),
-        });
+        };
         let ledger = TrafficLedger::new(&fabric);
-        // Epoch lookahead: a window spanning at most one link latency is
-        // closed under cross-partition traffic (module docs, fact 4).
-        // `initial_slack` scales how much timing headroom the protocol
-        // itself guarantees, so slack 0 — transactions due exactly on
-        // time — conservatively degenerates to one-instant epochs.
-        // (Capped at the calendar's 1024 ns ring window: wider bounds
-        // gain nothing — the dispatch gate counts ring events only.)
-        let lookahead = cfg
-            .link_latency
-            .as_ns()
-            .min(cfg.initial_slack.saturating_mul(cfg.link_latency.as_ns()))
-            .clamp(1, 1024);
         let mut net = DetailedNet {
             endpoints: (0..fabric.num_nodes())
                 .map(|_| EndpointExtra::default())
@@ -614,26 +380,22 @@ impl<P> DetailedNet<P> {
             ordering_delay: LatencyStat::new(),
             injected: 0,
             processed: 0,
-            plane_links,
+            plane_vertices,
             link_free_pending: 0,
             copies_outstanding: 0,
             waves_skipped: 0,
             buffer_high_water: 0,
-            link_stamp: vec![0; fabric.links().len()],
+            net_events: 0,
+            token_deliveries: 0,
+            vertex_stamp: vec![0; nv],
             ff_generation: 0,
-            scratch_out: StepOut::default(),
             instant_buf: Vec::new(),
-            parent_order: Vec::new(),
-            window_spans: Vec::new(),
-            replay_q: Vec::new(),
-            lookahead,
-            par: None,
             fabric,
             cfg,
         };
         // Initial kick: everything can fire once at t = 0.
         for v in 0..nv {
-            net.with_engine(|eng| eng.cascade(Vertex(v as u32)));
+            net.cascade(Vertex(v as u32));
         }
         net
     }
@@ -654,10 +416,13 @@ impl<P> DetailedNet<P> {
     /// * no transaction copy anywhere (in flight, buffered, or parked in a
     ///   reorder queue): [`DetailedNet::outstanding`] is 0;
     /// * no `LinkFree` event pending (a busy-link residue);
-    /// * every pending event sits at one single instant, with exactly
-    ///   **one token per link** — equal counts alone can hide bunching
-    ///   (two tokens on one link, none on another) in post-contention
-    ///   states, which advances guarantee times non-uniformly;
+    /// * every pending event sits at one single instant, and is a batch
+    ///   of exactly **one token per output link** from a distinct vertex,
+    ///   one batch per participating vertex. Links partition by source
+    ///   vertex, so this is exactly "one token per link"; equal counts
+    ///   alone could hide bunching (two tokens on one link, none on
+    ///   another) in post-contention states, which advances guarantee
+    ///   times non-uniformly;
     /// * no switch holds an unconsumed token.
     ///
     /// When any check fails (e.g. a post-contention wave still re-syncing)
@@ -672,7 +437,7 @@ impl<P> DetailedNet<P> {
         let Some(t_next) = self.events.single_instant() else {
             return 0;
         };
-        if self.events.len() != self.plane_links || to <= t_next {
+        if self.events.len() != self.plane_vertices || to <= t_next {
             return 0;
         }
         let tau = self.cfg.link_latency.as_ns();
@@ -688,20 +453,17 @@ impl<P> DetailedNet<P> {
         {
             return 0;
         }
-        // One token per link, exactly: anything else is a skewed wave.
+        // One single-token batch per vertex, exactly: anything else is a
+        // skewed wave.
         self.ff_generation += 1;
         for ev in self.events.head_instant_events() {
-            let Ev::Deliver {
-                link,
-                item: Item::Token,
-            } = ev
-            else {
+            let Ev::Tokens { from, count: 1 } = ev else {
                 return 0;
             };
-            if self.link_stamp[link.index()] == self.ff_generation {
-                return 0; // two tokens bunched on one link
+            if self.vertex_stamp[from.index()] == self.ff_generation {
+                return 0; // two batches bunched on one vertex's links
             }
-            self.link_stamp[link.index()] = self.ff_generation;
+            self.vertex_stamp[from.index()] = self.ff_generation;
         }
         // Re-time the wave to `t_next + k·τ` in one O(1) bucket move
         // (FIFO within the instant preserved), and advance every
@@ -721,6 +483,13 @@ impl<P> DetailedNet<P> {
     /// order, globally timestamped).
     pub fn take_deliveries(&mut self) -> Vec<DetailedDelivery<P>> {
         std::mem::take(&mut self.deliveries)
+    }
+
+    /// Drains the deliveries processed so far in place, keeping the
+    /// internal buffer's allocation for the next ones (the hot-path
+    /// alternative to [`DetailedNet::take_deliveries`]).
+    pub fn drain_deliveries(&mut self) -> impl Iterator<Item = DetailedDelivery<P>> + '_ {
+        self.deliveries.drain(..)
     }
 
     /// The current guarantee time of endpoint `node` (origin plus tokens
@@ -753,6 +522,18 @@ impl<P> DetailedNet<P> {
         self.buffer_high_water
     }
 
+    /// Calendar entries this net has popped and handled so far — the
+    /// honest denominator for host time per net event. Host-side
+    /// instrumentation: skipped idle waves pop nothing.
+    pub fn net_events(&self) -> u64 {
+        self.net_events
+    }
+
+    /// Per-link token arrivals the popped token batches stood for.
+    pub fn token_deliveries(&self) -> u64 {
+        self.token_deliveries
+    }
+
     /// Address traffic recorded so far (Request class).
     pub fn ledger(&self) -> &TrafficLedger {
         &self.ledger
@@ -775,108 +556,6 @@ impl<P> DetailedNet<P> {
         }
     }
 
-    /// Counters of the parallel frontier path (all zero while no pool is
-    /// attached).
-    pub fn parallel_stats(&self) -> ParStats {
-        self.par.as_ref().map(|p| p.stats).unwrap_or_default()
-    }
-
-    /// The epoch window bound, in ns: consecutive instants closer to the
-    /// window start than this batch into one parallel dispatch epoch.
-    /// Computed at construction as
-    /// `min(link_latency, initial_slack × link_latency)` (≥ 1).
-    pub fn lookahead_bound(&self) -> u64 {
-        self.lookahead
-    }
-
-    /// Overrides the epoch window bound. A determinism-test / tuning
-    /// knob, not an accuracy knob: *every* bound in `[1, link_latency]`
-    /// must produce byte-identical results (the property suite sweeps
-    /// random ones), and `1` degenerates to the one-instant-per-epoch
-    /// dispatch of the pre-batching loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ns` is 0 or exceeds the link latency — a window
-    /// wider than one link hop could close over a cross-partition
-    /// delivery, voiding the lookahead argument.
-    pub fn set_lookahead_bound(&mut self, ns: u64) {
-        assert!(
-            ns >= 1 && ns <= self.cfg.link_latency.as_ns(),
-            "lookahead bound {ns} outside [1, link_latency = {}]",
-            self.cfg.link_latency.as_ns()
-        );
-        self.lookahead = ns;
-    }
-
-    fn core_ref(&self, v: Vertex) -> &SwitchCore<FlightTxn<P>> {
-        self.cores[v.index()]
-            .as_ref()
-            .expect("vertex participates in this plane")
-    }
-
-    /// The vertex whose state processing `ev` mutates — the partition
-    /// key of the parallel path.
-    fn owner(&self, ev: &Ev<P>) -> usize {
-        match ev {
-            Ev::Deliver { link, .. } => self.topo.link_dest[link.index()].0 as usize,
-            Ev::LinkFree { link } => self.fabric.links()[link.index()].from.index(),
-        }
-    }
-
-    /// Runs `f` on the unified step engine over this net's own state and
-    /// applies the emitted effects — the serial execution path.
-    fn with_engine(&mut self, f: impl FnOnce(&mut EngineState<'_, P>)) {
-        let mut out = std::mem::take(&mut self.scratch_out);
-        {
-            let mut eng = EngineState {
-                cfg: &self.cfg,
-                fabric: &self.fabric,
-                topo: &self.topo,
-                cores: &mut self.cores,
-                endpoints: &mut self.endpoints,
-                next_free: &mut self.next_free,
-                free_scheduled: &mut self.free_scheduled,
-                parked: self.reorder_parked,
-                now: self.now,
-                win_base: self.now.as_ns(),
-                win_span: 0,
-                out: &mut out,
-            };
-            f(&mut eng);
-        }
-        self.apply(&mut out);
-        self.scratch_out = out;
-    }
-
-    /// Applies one engine batch: emissions are scheduled in emission
-    /// order (reproducing the calendar sequence numbers a direct-mutation
-    /// run would have assigned), deliveries are appended, counters folded.
-    fn apply(&mut self, out: &mut StepOut<P>) {
-        for (at, ev) in out.emissions.drain(..) {
-            debug_assert!(at > self.now, "emission at the open instant");
-            self.events.schedule(at, ev);
-        }
-        self.processed += out.processed;
-        self.copies_outstanding -= out.processed;
-        self.deliveries.append(&mut out.deliveries);
-        self.reorder_parked = (self.reorder_parked as isize + out.parked_delta) as usize;
-        self.link_free_pending = (self.link_free_pending as isize + out.link_free_delta) as usize;
-        self.buffer_high_water = self.buffer_high_water.max(out.buffer_high_water);
-        self.ordering_delay.merge(&out.ordering_delay);
-        out.reset();
-    }
-
-    /// Processes one popped instant on the caller thread, event by event
-    /// (the pre-parallel loop, re-expressed through the shared engine).
-    fn run_instant_serial(&mut self, buf: &mut Vec<Ev<P>>) {
-        for ev in buf.drain(..) {
-            self.with_engine(|eng| eng.step(ev));
-        }
-    }
-}
-
-impl<P: Send + Sync + 'static> DetailedNet<P> {
     /// Broadcasts `payload` from `src` at time `now`, returning the
     /// assigned ordering time.
     ///
@@ -902,7 +581,7 @@ impl<P: Send + Sync + 'static> DetailedNet<P> {
             injected_at: now,
             payload,
         };
-        self.with_engine(|eng| eng.forward_branches(Vertex::node(src), ft));
+        self.forward_branches(Vertex::node(src), ft);
         self.ledger
             .record_tree(self.fabric.tree(self.cfg.plane, src), MsgClass::Request);
         self.injected += 1;
@@ -910,443 +589,33 @@ impl<P: Send + Sync + 'static> DetailedNet<P> {
         ot
     }
 
-    /// Advances the simulation through every event at or before `t`,
-    /// one epoch window at a time. With a pool attached
-    /// ([`DetailedNet::set_pool`]) large windows — up to
-    /// [`DetailedNet::lookahead_bound`] ns of consecutive instants — run
-    /// partitioned across threads in a single dispatch; everything else
-    /// runs instant by instant on the caller. The observable state
-    /// evolution is identical either way.
+    /// Advances the simulation through every event at or before `t`, one
+    /// popped instant at a time (see the module docs).
     pub fn run_until(&mut self, t: Time) {
+        let mut buf = std::mem::take(&mut self.instant_buf);
         while let Some(at) = self.events.peek_time() {
             if at > t {
                 break;
             }
-            // Window end: never past `t` (later injections may land
-            // there), never spanning more than the lookahead bound.
-            let wlimit = Time::from_ns(at.as_ns().saturating_add(self.lookahead - 1).min(t.as_ns()));
-            let mut buf = std::mem::take(&mut self.instant_buf);
-            if self
-                .par
-                .as_ref()
-                .is_some_and(|p| self.events.events_in_window(wlimit) >= p.threshold)
-            {
-                let mut spans = std::mem::take(&mut self.window_spans);
-                self.events.pop_window_into(wlimit, &mut buf, &mut spans);
-                self.now = spans.last().expect("head instant <= wlimit").0;
-                self.run_epoch_parallel(&mut buf, &spans);
-                spans.clear();
-                self.window_spans = spans;
-            } else {
-                self.events.pop_head_instant_into(&mut buf);
-                self.now = at;
-                self.run_instant_serial(&mut buf);
+            self.events.pop_head_instant_into(&mut buf);
+            self.now = at;
+            self.net_events += buf.len() as u64;
+            for ev in buf.drain(..) {
+                match ev {
+                    Ev::Tokens { from, count } => self.tokens_arrive(from, count),
+                    Ev::Txn { link, txn } => self.txn_arrives(link, *txn),
+                    Ev::LinkFree { link } => {
+                        self.free_scheduled[link.index()] = false;
+                        self.link_free_pending -= 1;
+                        self.link_freed(link);
+                    }
+                }
             }
-            self.instant_buf = buf;
         }
+        self.instant_buf = buf;
         if t > self.now {
             self.now = t;
         }
-    }
-
-    /// Attaches a frontier pool: subsequent instants at or above the
-    /// dispatch threshold (see [`PAR_THRESHOLD`]) run partitioned across
-    /// the pool's workers, with vertices split into contiguous chunks
-    /// (one per worker). Results are byte-identical to the serial run.
-    pub fn set_pool(&mut self, pool: Arc<FrontierPool>) {
-        let nv = self.fabric.num_nodes() + self.fabric.num_switches();
-        let count = pool.workers();
-        let of_vertex = (0..nv).map(|v| (v * count / nv) as u32).collect();
-        self.set_partitions(pool, of_vertex);
-    }
-
-    /// Attaches a frontier pool with an **explicit** vertex → partition
-    /// assignment (any number of partitions; they are scheduled onto the
-    /// pool's workers). This is the determinism-test knob: *every*
-    /// assignment must produce byte-identical results, so the property
-    /// suite feeds it random ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `of_vertex` does not assign every vertex of the fabric.
-    pub fn set_partitions(&mut self, pool: Arc<FrontierPool>, of_vertex: Vec<u32>) {
-        let nv = self.fabric.num_nodes() + self.fabric.num_switches();
-        assert_eq!(of_vertex.len(), nv, "one partition id per vertex");
-        let count = of_vertex.iter().map(|&p| p as usize + 1).max().unwrap_or(1);
-        let parts = Partitions::new(of_vertex, count, &self.fabric, self.cfg.plane);
-        let (nodes, links) = (self.fabric.num_nodes(), self.fabric.links().len());
-        // Dispatch overhead is per instant, so only instants comparable
-        // to a full token wave (one event per plane link) are worth
-        // fanning out; everything smaller stays on the caller thread.
-        let plane_links: usize = parts.links.iter().map(Vec::len).sum();
-        let threshold = PAR_THRESHOLD.max(plane_links / 2);
-        let stats = ParStats {
-            threads: pool.workers() as u64,
-            ..ParStats::default()
-        };
-        self.par = Some(ParState {
-            pool,
-            scratch: (0..count)
-                .map(|_| Some(PartScratch::new(nv, nodes, links)))
-                .collect(),
-            parts,
-            threshold,
-            stats,
-        });
-    }
-
-    /// Processes one popped epoch window across the frontier pool:
-    /// classify by owner partition, lend each partition its slice of the
-    /// state, step all partitions through the window concurrently (each
-    /// against its private mini-calendar), then merge emissions and
-    /// deliveries back in (instant, parent-pop) order (see the module
-    /// docs for why this is byte-identical to the serial loop).
-    ///
-    /// `spans` holds the window's `(instant, event count)` pairs in pop
-    /// order; `buf` their concatenated events. `self.now` must already
-    /// sit at the window's last instant.
-    fn run_epoch_parallel(&mut self, buf: &mut Vec<Ev<P>>, spans: &[(Time, u32)]) {
-        let mut par = self.par.take().expect("checked by caller");
-        par.stats.epochs += 1;
-        par.stats.instants += spans.len() as u64;
-        par.stats.events += buf.len() as u64;
-        let num_nodes = self.fabric.num_nodes();
-        let t0 = spans[0].0.as_ns();
-        // Window span in ns (1 = a single instant, the PR 8 epoch shape).
-        let span = self.now.as_ns().wrapping_sub(t0) + 1;
-        debug_assert!(span <= self.lookahead);
-
-        // Classify in pop order; each partition's slice stays in order,
-        // tagged with its instant's window offset.
-        self.parent_order.clear();
-        let mut si = 0usize;
-        let mut left = spans[0].1;
-        for ev in buf.drain(..) {
-            while left == 0 {
-                si += 1;
-                left = spans[si].1;
-            }
-            left -= 1;
-            let off = spans[si].0.as_ns().wrapping_sub(t0) as u32;
-            let p = par.parts.of_vertex[self.owner(&ev)];
-            let s = par.scratch[p as usize]
-                .as_mut()
-                .expect("scratch parked between epochs");
-            s.events.push(ev);
-            s.event_offs.push(off);
-            self.parent_order.push(p);
-        }
-
-        // Lend each active partition its owned state. The first active
-        // partition is held back and stepped inline on this thread (one
-        // fewer dispatch, and the caller contributes work instead of
-        // sleeping on the merge channel); the rest go to the pool.
-        let (tx, rx) = mpsc::channel::<(usize, PartScratch<P>)>();
-        let mut launched: Vec<usize> = Vec::new();
-        let mut inline: Option<(usize, PartScratch<P>)> = None;
-        let mut jobs: Vec<Job> = Vec::new();
-        for p in 0..par.scratch.len() {
-            if par.scratch[p]
-                .as_ref()
-                .expect("scratch parked between instants")
-                .events
-                .is_empty()
-            {
-                continue;
-            }
-            let mut s = par.scratch[p].take().expect("checked non-empty");
-            for &v in &par.parts.vertices[p] {
-                let v = v as usize;
-                std::mem::swap(&mut self.cores[v], &mut s.cores[v]);
-                if v < num_nodes {
-                    std::mem::swap(&mut self.endpoints[v], &mut s.endpoints[v]);
-                }
-            }
-            for &li in &par.parts.links[p] {
-                let li = li as usize;
-                s.next_free[li] = self.next_free[li];
-                s.free_scheduled[li] = self.free_scheduled[li];
-            }
-            launched.push(p);
-            if inline.is_none() {
-                inline = Some((p, s));
-                continue;
-            }
-            let tx = tx.clone();
-            let cfg = self.cfg;
-            let fabric = Arc::clone(&self.fabric);
-            let topo = Arc::clone(&self.topo);
-            let parked = self.reorder_parked;
-            jobs.push(Box::new(move || {
-                let mut s = s;
-                step_partition(&cfg, &fabric, &topo, &mut s, t0, span, parked);
-                let _ = tx.send((p, s));
-            }) as Job);
-        }
-        drop(tx);
-        let dispatched = jobs.len();
-        if dispatched > 0 {
-            assert!(par.pool.submit(jobs), "frontier pool is shutting down");
-        }
-        if let Some((p, mut s)) = inline {
-            step_partition(
-                &self.cfg,
-                &self.fabric,
-                &self.topo,
-                &mut s,
-                t0,
-                span,
-                self.reorder_parked,
-            );
-            par.scratch[p] = Some(s);
-        }
-        for _ in 0..dispatched {
-            let (p, s) = rx
-                .recv()
-                .expect("a partition job panicked (see stderr for the worker's panic)");
-            par.scratch[p] = Some(s);
-        }
-
-        // Reclaim the lent state and fold the scalar effects (all
-        // commutative — order across partitions cannot matter).
-        let mut cursors: Vec<Option<MergeCursor<P>>> =
-            (0..par.scratch.len()).map(|_| None).collect();
-        for &p in &launched {
-            let s = par.scratch[p].as_mut().expect("job returned its scratch");
-            for &v in &par.parts.vertices[p] {
-                let v = v as usize;
-                std::mem::swap(&mut self.cores[v], &mut s.cores[v]);
-                if v < num_nodes {
-                    std::mem::swap(&mut self.endpoints[v], &mut s.endpoints[v]);
-                }
-            }
-            for &li in &par.parts.links[p] {
-                let li = li as usize;
-                self.next_free[li] = s.next_free[li];
-                self.free_scheduled[li] = s.free_scheduled[li];
-            }
-            let out = std::mem::take(&mut s.out);
-            self.processed += out.processed;
-            self.copies_outstanding -= out.processed;
-            self.reorder_parked = (self.reorder_parked as isize + out.parked_delta) as usize;
-            self.link_free_pending =
-                (self.link_free_pending as isize + out.link_free_delta) as usize;
-            self.buffer_high_water = self.buffer_high_water.max(out.buffer_high_water);
-            self.ordering_delay.merge(&out.ordering_delay);
-            cursors[p] = Some(MergeCursor {
-                em: out.emissions.into_iter(),
-                de: out.deliveries.into_iter(),
-                win: out.win_times.into_iter(),
-                marks: out.marks,
-                next_mark: 0,
-                e_done: 0,
-                d_done: 0,
-                w_done: 0,
-            });
-        }
-
-        // Replay emissions and deliveries in the order the serial loop
-        // would have produced them. Serially the window runs offset by
-        // offset, each instant processing its pre-popped events (calendar
-        // pop order) followed by whatever earlier instants scheduled onto
-        // it (schedule order). `replay_q[o]` reproduces exactly that
-        // label sequence: seeded with the pre-popped parents per offset,
-        // extended in place as consumed parents reveal their in-window
-        // emission targets. Each consumed label flushes one mark's worth
-        // of output, so out-of-window emissions hit the shared calendar
-        // in serial schedule order — identical FIFO sequence numbers —
-        // and deliveries append in serial processing order.
-        let parent_order = std::mem::take(&mut self.parent_order);
-        let mut qs = std::mem::take(&mut self.replay_q);
-        qs.iter_mut().for_each(Vec::clear);
-        if qs.len() < span as usize {
-            qs.resize(span as usize, Vec::new());
-        }
-        let mut pi = 0usize;
-        for &(at, cnt) in spans {
-            let off = at.as_ns().wrapping_sub(t0) as usize;
-            qs[off].extend_from_slice(&parent_order[pi..pi + cnt as usize]);
-            pi += cnt as usize;
-        }
-        for o in 0..span as usize {
-            let mut qi = 0;
-            while qi < qs[o].len() {
-                let p = qs[o][qi] as usize;
-                qi += 1;
-                let c = cursors[p].as_mut().expect("partition was launched");
-                let (e_end, d_end, w_end) = c.marks[c.next_mark];
-                c.next_mark += 1;
-                while c.e_done < e_end {
-                    let (at, ev) = c.em.next().expect("mark within bounds");
-                    debug_assert!(at > self.now, "emission inside the popped window");
-                    self.events.schedule(at, ev);
-                    c.e_done += 1;
-                }
-                while c.d_done < d_end {
-                    self.deliveries
-                        .push(c.de.next().expect("mark within bounds"));
-                    c.d_done += 1;
-                }
-                while c.w_done < w_end {
-                    let off = c.win.next().expect("mark within bounds") as usize;
-                    debug_assert!(off > o, "in-window emission not strictly future");
-                    qs[off].push(p as u32);
-                    c.w_done += 1;
-                }
-            }
-        }
-        self.replay_q = qs;
-        self.parent_order = parent_order;
-        self.par = Some(par);
-    }
-}
-
-/// Per-partition consumption state of the ordered merge.
-struct MergeCursor<P> {
-    em: std::vec::IntoIter<(Time, Ev<P>)>,
-    de: std::vec::IntoIter<DetailedDelivery<P>>,
-    win: std::vec::IntoIter<u32>,
-    marks: Vec<(u32, u32, u32)>,
-    next_mark: usize,
-    e_done: u32,
-    d_done: u32,
-    w_done: u32,
-}
-
-/// Steps one partition's slice of an epoch window to completion: the
-/// body of a frontier-pool job, and also run inline on the caller thread
-/// for one partition per epoch so the caller contributes work instead of
-/// sleeping on the merge channel.
-///
-/// The window `[t0, t0 + span)` runs offset by offset: each offset
-/// processes the partition's pre-popped events first (calendar pop
-/// order), then drains the offset's bucket of the partition's own
-/// in-window emissions (emission order) — same-partition `LinkFree`s,
-/// the only emissions a lookahead-bounded window can contain (module
-/// docs, fact 4). Emissions always target strictly later offsets, so
-/// taking the bucket before stepping an offset can drop nothing.
-fn step_partition<P>(
-    cfg: &DetailedNetConfig,
-    fabric: &Fabric,
-    topo: &PlaneTopo,
-    s: &mut PartScratch<P>,
-    t0: u64,
-    span: u64,
-    parked: usize,
-) {
-    let mut events = std::mem::take(&mut s.events);
-    let offs = std::mem::take(&mut s.event_offs);
-    let mut out = std::mem::take(&mut s.out);
-    let mut parked = parked;
-    {
-        let mut ev_iter = events.drain(..);
-        let mut oi = 0usize;
-        for o in 0..span as u32 {
-            let mut pre = 0usize;
-            while oi + pre < offs.len() && offs[oi + pre] == o {
-                pre += 1;
-            }
-            let mut bucket = match out.win_buckets.get_mut(o as usize) {
-                Some(b) if !b.is_empty() => std::mem::take(b),
-                _ => Vec::new(),
-            };
-            if pre == 0 && bucket.is_empty() {
-                continue;
-            }
-            oi += pre;
-            {
-                let mut eng = EngineState {
-                    cfg,
-                    fabric,
-                    topo,
-                    cores: &mut s.cores,
-                    endpoints: &mut s.endpoints,
-                    next_free: &mut s.next_free,
-                    free_scheduled: &mut s.free_scheduled,
-                    parked,
-                    now: Time::from_ns(t0.wrapping_add(o as u64)),
-                    win_base: t0,
-                    win_span: span,
-                    out: &mut out,
-                };
-                for _ in 0..pre {
-                    let ev = ev_iter.next().expect("offsets track events");
-                    eng.step(ev);
-                    eng.mark();
-                }
-                for ev in bucket.drain(..) {
-                    eng.step(ev);
-                    eng.mark();
-                }
-                parked = eng.parked;
-            }
-            // Hand the emptied bucket's allocation back for reuse.
-            if let Some(b) = out.win_buckets.get_mut(o as usize) {
-                if b.is_empty() {
-                    *b = bucket;
-                }
-            }
-        }
-        debug_assert!(ev_iter.next().is_none(), "window left events behind");
-    }
-    debug_assert!(out.win_buckets.iter().all(Vec::is_empty));
-    let mut offs = offs;
-    offs.clear();
-    s.events = events;
-    s.event_offs = offs;
-    s.out = out;
-}
-
-/// The event-step engine, borrowing whichever state slice it runs over:
-/// the whole [`DetailedNet`] on the serial path, one partition's
-/// [`PartScratch`] on the parallel path. All §2.2 rule processing lives
-/// here exactly once; every effect that crosses the slice boundary
-/// (scheduling, deliveries, global counters) goes through [`StepOut`].
-struct EngineState<'a, P> {
-    cfg: &'a DetailedNetConfig,
-    fabric: &'a Fabric,
-    topo: &'a PlaneTopo,
-    cores: &'a mut [Option<SwitchCore<FlightTxn<P>>>],
-    endpoints: &'a mut [EndpointExtra<P>],
-    next_free: &'a mut [Time],
-    free_scheduled: &'a mut [bool],
-    /// Reorder-queue population gate: the global count on the serial
-    /// path, the instant-start snapshot plus this partition's own deltas
-    /// on the parallel path. The two can disagree only when the queue
-    /// being gated is empty — where `drain_reorder` is a no-op — so the
-    /// gate stays a pure fast-path filter either way.
-    parked: usize,
-    now: Time,
-    /// Start (ns) of the epoch window being processed, and its width.
-    /// Emissions landing within `[win_base, win_base + win_span)` go to
-    /// the partition's private mini-calendar instead of the shared one.
-    /// `win_span` is 0 on the serial path: every emission is global.
-    win_base: u64,
-    win_span: u64,
-    out: &'a mut StepOut<P>,
-}
-
-impl<P> EngineState<'_, P> {
-    /// Processes one calendar event.
-    fn step(&mut self, ev: Ev<P>) {
-        match ev {
-            Ev::Deliver { link, item } => self.deliver(link, item),
-            Ev::LinkFree { link } => {
-                self.free_scheduled[link.index()] = false;
-                self.out.link_free_delta -= 1;
-                self.link_freed(link);
-            }
-        }
-    }
-
-    /// Records the end of one parent event's output (parallel merge
-    /// bookkeeping).
-    fn mark(&mut self) {
-        self.out.marks.push((
-            self.out.emissions.len() as u32,
-            self.out.deliveries.len() as u32,
-            self.out.win_times.len() as u32,
-        ));
     }
 
     fn core(&mut self, v: Vertex) -> &mut SwitchCore<FlightTxn<P>> {
@@ -1361,49 +630,36 @@ impl<P> EngineState<'_, P> {
             .expect("vertex participates in this plane")
     }
 
-    fn emit(&mut self, at: Time, ev: Ev<P>) {
-        let off = at.as_ns().wrapping_sub(self.win_base);
-        if off < self.win_span {
-            // In-window: route to this partition's mini-calendar. Only
-            // same-vertex `LinkFree`s can land here (module docs, fact
-            // 4), so the bucket never crosses a partition boundary.
-            debug_assert!(at > self.now, "emission at the open instant");
-            self.out.win_times.push(off as u32);
-            let off = off as usize;
-            if self.out.win_buckets.len() <= off {
-                self.out.win_buckets.resize_with(off + 1, Vec::new);
+    /// Delivers a token batch: `count` rounds of one token on every
+    /// output link of `from`, in port order. One core lookup per token
+    /// serves both the arrival and the propagation-readiness test, and
+    /// the cascade is entered only when the token completed a wave at its
+    /// destination (the common miss is one compare).
+    fn tokens_arrive(&mut self, from: Vertex, count: u32) {
+        let lo = self.topo.out_start[from.index()] as usize;
+        let hi = self.topo.out_start[from.index() + 1] as usize;
+        self.token_deliveries += count as u64 * (hi - lo) as u64;
+        for _ in 0..count {
+            for i in lo..hi {
+                let (to, port) = self.topo.out_dest[i];
+                let core = self.cores[to as usize]
+                    .as_mut()
+                    .expect("vertex participates in this plane");
+                core.token_arrives(port as usize);
+                if core.can_propagate() {
+                    self.cascade(Vertex(to));
+                }
             }
-            self.out.win_buckets[off].push(ev);
-        } else {
-            self.out.emissions.push((at, ev));
         }
     }
 
-    fn deliver(&mut self, link: LinkId, item: Item<P>) {
+    fn txn_arrives(&mut self, link: LinkId, mut ft: FlightTxn<P>) {
         let (to, port) = self.topo.link_dest[link.index()];
-        let (to, port) = (Vertex(to), port as usize);
-        match item {
-            Item::Token => {
-                // Fused token path: one core lookup serves both the
-                // arrival and the propagation-readiness test, and the
-                // cascade is entered only when this token completed a
-                // wave at `to` (the common miss is one compare).
-                let core = self.cores[to.index()]
-                    .as_mut()
-                    .expect("vertex participates in this plane");
-                core.token_arrives(port);
-                if core.can_propagate() {
-                    self.cascade(to);
-                }
-            }
-            Item::Txn(boxed) => {
-                let mut ft = *boxed;
-                ft.slack = self.core(to).txn_enters(port, ft.slack); // rule 1
-                match to.as_node(self.topo.num_nodes) {
-                    Some(node) => self.endpoint_receives(node, ft),
-                    None => self.forward_branches(to, ft),
-                }
-            }
+        let to = Vertex(to);
+        ft.slack = self.core(to).txn_enters(port as usize, ft.slack); // rule 1
+        match to.as_node(self.topo.num_nodes) {
+            Some(node) => self.endpoint_receives(node, ft),
+            None => self.forward_branches(to, ft),
         }
     }
 
@@ -1425,8 +681,7 @@ impl<P> EngineState<'_, P> {
                 arrival: self.now,
                 payload: ft.payload,
             }));
-        self.parked += 1;
-        self.out.parked_delta += 1;
+        self.reorder_parked += 1;
     }
 
     /// Processes every queued transaction whose ordering tick has *closed*.
@@ -1458,13 +713,12 @@ impl<P> EngineState<'_, P> {
                 "transaction missed its batch at {node}: OT {} but GT already {gt}",
                 e.key.gt()
             );
-            self.out
-                .ordering_delay
+            self.ordering_delay
                 .record(self.now.saturating_since(e.arrival));
-            self.out.processed += 1;
-            self.parked -= 1;
-            self.out.parked_delta -= 1;
-            self.out.deliveries.push(DetailedDelivery {
+            self.processed += 1;
+            self.copies_outstanding -= 1;
+            self.reorder_parked -= 1;
+            self.deliveries.push(DetailedDelivery {
                 dest: node,
                 src: NodeId(e.key.src()),
                 seq: e.key.seq(),
@@ -1480,9 +734,9 @@ impl<P> EngineState<'_, P> {
     /// `v`, sending immediately where the link is free and buffering
     /// otherwise.
     fn forward_branches(&mut self, v: Vertex, ft: FlightTxn<P>) {
-        // Copy the fabric reference out so the tree can be walked while
-        // the sends mutate `self` — no per-hop branch buffer needed.
-        let fabric = self.fabric;
+        // Hold the fabric through a cloned handle so the tree can be
+        // walked while the sends mutate `self` — no per-hop branch buffer.
+        let fabric = Arc::clone(&self.fabric);
         let tree = fabric.tree(self.cfg.plane, ft.src);
         for &i in tree.branches_from(v) {
             let e = tree.edges[i as usize];
@@ -1494,15 +748,7 @@ impl<P> EngineState<'_, P> {
         let li = link.index();
         if self.next_free[li] <= self.now {
             ft.slack += delta_d; // rule 3
-            let at = self.now + self.cfg.link_latency;
-            self.next_free[li] = self.now + self.cfg.link_occupancy;
-            self.emit(
-                at,
-                Ev::Deliver {
-                    link,
-                    item: Item::Txn(Box::new(ft)),
-                },
-            );
+            self.send(link, ft);
         } else {
             let out_port = self.topo.out_port_idx[li] as usize;
             let slack = ft.slack;
@@ -1510,13 +756,34 @@ impl<P> EngineState<'_, P> {
                 .as_mut()
                 .expect("vertex participates in this plane");
             core.buffer(out_port, slack, delta_d, ft);
-            self.out.buffer_high_water = self.out.buffer_high_water.max(core.buffer_high_water());
-            if !self.free_scheduled[li] {
-                self.free_scheduled[li] = true;
-                self.out.link_free_delta += 1;
-                let at = self.next_free[li];
-                self.emit(at, Ev::LinkFree { link });
-            }
+            self.buffer_high_water = self.buffer_high_water.max(core.buffer_high_water());
+            self.arm_link_free(link);
+        }
+    }
+
+    /// Puts `ft` on the (free) `link`, occupying it for one occupancy
+    /// period.
+    fn send(&mut self, link: LinkId, ft: FlightTxn<P>) {
+        let at = self.now + self.cfg.link_latency;
+        self.next_free[link.index()] = self.now + self.cfg.link_occupancy;
+        self.events.schedule(
+            at,
+            Ev::Txn {
+                link,
+                txn: Box::new(ft),
+            },
+        );
+    }
+
+    /// Schedules a `LinkFree` for `link` at its next free instant unless
+    /// one is already pending.
+    fn arm_link_free(&mut self, link: LinkId) {
+        let li = link.index();
+        if !self.free_scheduled[li] {
+            self.free_scheduled[li] = true;
+            self.link_free_pending += 1;
+            self.events
+                .schedule(self.next_free[li], Ev::LinkFree { link });
         }
     }
 
@@ -1524,31 +791,15 @@ impl<P> EngineState<'_, P> {
         let li = link.index();
         if self.next_free[li] > self.now {
             // Another send claimed the link meanwhile; re-arm.
-            if !self.free_scheduled[li] {
-                self.free_scheduled[li] = true;
-                self.out.link_free_delta += 1;
-                let at = self.next_free[li];
-                self.emit(at, Ev::LinkFree { link });
-            }
+            self.arm_link_free(link);
             return;
         }
         let from = self.fabric.links()[li].from;
         let out_port = self.topo.out_port_idx[li] as usize;
         if let Some((slack, ft)) = self.core(from).pop_sendable(out_port) {
-            let at = self.now + self.cfg.link_latency;
-            self.next_free[li] = self.now + self.cfg.link_occupancy;
-            self.emit(
-                at,
-                Ev::Deliver {
-                    link,
-                    item: Item::Txn(Box::new(FlightTxn { slack, ..ft })),
-                },
-            );
-            if self.core_ref(from).queued(out_port) > 0 && !self.free_scheduled[li] {
-                self.free_scheduled[li] = true;
-                self.out.link_free_delta += 1;
-                let at = self.next_free[li];
-                self.emit(at, Ev::LinkFree { link });
+            self.send(link, FlightTxn { slack, ..ft });
+            if self.core_ref(from).queued(out_port) > 0 {
+                self.arm_link_free(link);
             }
             // Draining a zero-slack transaction may unblock the token wave.
             self.cascade(from);
@@ -1556,8 +807,8 @@ impl<P> EngineState<'_, P> {
     }
 
     /// Fires the propagation handshake at `v` as many times as it can,
-    /// emitting tokens on every output link each time, and advancing the
-    /// endpoint reorder queue when `v` is a node.
+    /// sending one token batch for all the firings (see the module docs),
+    /// and advancing the endpoint reorder queue when `v` is a node.
     fn cascade(&mut self, v: Vertex) {
         let Some(core) = self.cores[v.index()].as_mut() else {
             return;
@@ -1569,24 +820,14 @@ impl<P> EngineState<'_, P> {
         if fired == 0 {
             return;
         }
-        // Emit `fired` tokens per output link, all at one instant, in
-        // the order `schedule_batch` would have inserted them. These
-        // bypass `emit`: a full link latency ahead, they can never land
-        // inside an epoch window (whose span is at most one latency).
-        let at = self.now + self.cfg.link_latency;
-        let topo = self.topo;
-        for _ in 0..fired {
-            for &link in &topo.vertex_out_links[v.index()] {
-                self.out.emissions.push((
-                    at,
-                    Ev::Deliver {
-                        link,
-                        item: Item::Token,
-                    },
-                ));
-            }
-        }
-        if self.parked > 0 {
+        self.events.schedule(
+            self.now + self.cfg.link_latency,
+            Ev::Tokens {
+                from: v,
+                count: fired,
+            },
+        );
+        if self.reorder_parked > 0 {
             if let Some(node) = v.as_node(self.topo.num_nodes) {
                 self.drain_reorder(node);
             }
@@ -1896,8 +1137,8 @@ mod tests {
     /// processed_at, payload).
     type TraceRow = (u16, u16, u64, Gt, Time, Time, u32);
 
-    /// Every observable bit of a finished run, flattened for equality
-    /// checks between serial and parallel executions.
+    /// Every observable bit of a finished run: every delivery in raw
+    /// processing order, plus the stats.
     fn full_trace(net: &mut DetailedNet<u32>) -> (Vec<TraceRow>, String) {
         let log = net
             .take_deliveries()
@@ -1940,115 +1181,46 @@ mod tests {
         }
     }
 
+    /// The engine's exact-order contract: `full_trace` of
+    /// `drive_contended` — every delivery in raw processing order plus
+    /// the stats — fingerprinted on the 4x4 torus and on each of the
+    /// 16-node butterfly's four planes, at GT origin zero and two ticks
+    /// before an era rollover. Stricter than the grid pins, which re-sort
+    /// deliveries within each instant: any change to event processing
+    /// order, calendar tie-breaks or stats folding moves a fingerprint.
     #[test]
-    fn pooled_run_reproduces_serial_bytes_at_every_thread_count() {
-        // Covered at both GT origins: zero and two ticks before an era
-        // rollover, so the parallel path crosses the era boundary too.
-        for origin in [Gt::ZERO, Gt::from_parts(0, Gt::TICK_MASK - 1)] {
-            let cfg = contended_cfg(origin);
-            let mut base = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
-            let want = drive_contended(&mut base);
-            for threads in [1usize, 2, 4, 8] {
-                let mut net = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
-                net.set_pool(Arc::new(FrontierPool::new(threads)));
-                let got = drive_contended(&mut net);
-                assert_eq!(got.0, want.0, "deliveries diverged at {threads} threads");
-                assert_eq!(got.1, want.1, "stats diverged at {threads} threads");
-                let ps = net.parallel_stats();
-                assert_eq!(ps.threads, threads as u64);
-                assert!(ps.instants > 0, "frontier path never engaged");
-                // The dispatch gate counts the whole window, so the
-                // per-epoch (not per-instant) event count clears the
-                // threshold.
-                assert!(ps.events >= ps.epochs * PAR_THRESHOLD as u64);
-                assert!(
-                    ps.epochs < ps.instants,
-                    "slack-horizon batching never engaged: {ps:?}"
-                );
-                assert!(ps.instants_per_epoch() > 1.0);
+    fn engine_order_pin() {
+        const ROLL: u64 = Gt::TICK_MASK - 1;
+        const PINS: [(&str, usize, u64, u128); 10] = [
+            ("torus4x4", 0, 0, 0x2429b2a8c9a13efe2c02d421287ad7a4),
+            ("butterfly16", 0, 0, 0x7317a7a8896a030d8b5c171b43cd9345),
+            ("butterfly16", 1, 0, 0x7317a7a8896a030d8b5c171b43cd9345),
+            ("butterfly16", 2, 0, 0x7317a7a8896a030d8b5c171b43cd9345),
+            ("butterfly16", 3, 0, 0x7317a7a8896a030d8b5c171b43cd9345),
+            ("torus4x4", 0, ROLL, 0x3416da8523eb8cb8e0739437544e3397),
+            ("butterfly16", 0, ROLL, 0x85cb4d7f5343925720f265ee857c55dc),
+            ("butterfly16", 1, ROLL, 0x85cb4d7f5343925720f265ee857c55dc),
+            ("butterfly16", 2, ROLL, 0x85cb4d7f5343925720f265ee857c55dc),
+            ("butterfly16", 3, ROLL, 0x85cb4d7f5343925720f265ee857c55dc),
+        ];
+        let mut got = Vec::new();
+        for origin in [0, ROLL] {
+            let cfg = contended_cfg(Gt::from_parts(0, origin));
+            let cases = [("torus4x4", Fabric::torus4x4(), 0)]
+                .into_iter()
+                .chain((0..4).map(|p| ("butterfly16", Fabric::butterfly16(), p)));
+            for (name, fabric, plane) in cases {
+                let mut net =
+                    DetailedNet::new(Arc::new(fabric), DetailedNetConfig { plane, ..cfg });
+                let trace = format!("{:?}", drive_contended(&mut net));
+                got.push((
+                    name,
+                    plane,
+                    origin,
+                    tss_sim::hash::fingerprint128(trace.as_bytes()),
+                ));
             }
         }
-    }
-
-    #[test]
-    fn random_lookahead_and_partitions_are_byte_identical() {
-        use tss_sim::rng::SimRng;
-        // Sweep random lookahead bounds x random vertex->partition maps
-        // x era origins: every combination must reproduce the serial
-        // bytes exactly. Catches window-boundary bugs at bounds the
-        // config would never pick on its own.
-        for origin in [Gt::ZERO, Gt::from_parts(0, Gt::TICK_MASK - 1)] {
-            let cfg = contended_cfg(origin);
-            let latency = cfg.link_latency.as_ns();
-            let fabric = Fabric::torus4x4();
-            let nv = fabric.num_nodes() + fabric.num_switches();
-            let mut base = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
-            let want = drive_contended(&mut base);
-            let mut rng = SimRng::from_seed_and_stream(0x10AE, 11);
-            for round in 0..8 {
-                let bound = rng.gen_range(1..latency + 1);
-                let parts = rng.gen_range(1..6);
-                let of_vertex: Vec<u32> =
-                    (0..nv).map(|_| rng.gen_range(0..parts) as u32).collect();
-                let threads = rng.gen_range(1..5) as usize;
-                let mut net = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
-                net.set_partitions(Arc::new(FrontierPool::new(threads)), of_vertex.clone());
-                net.set_lookahead_bound(bound);
-                let got = drive_contended(&mut net);
-                assert_eq!(
-                    got, want,
-                    "bound {bound} partitioning {of_vertex:?} on {threads} threads \
-                     diverged (round {round}, origin {origin:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_lookahead_degenerates_to_one_instant_per_epoch() {
-        // A config with no slack headroom clamps the bound to 1 ns...
-        let cfg = DetailedNetConfig {
-            initial_slack: 0,
-            ..contended_cfg(Gt::ZERO)
-        };
-        let net = DetailedNet::<u32>::new(Arc::new(Fabric::torus4x4()), cfg);
-        assert_eq!(net.lookahead_bound(), 1);
-        // ...and a 1 ns window holds exactly one instant, reproducing
-        // the pre-batching one-instant-per-epoch loop byte for byte.
-        let cfg = contended_cfg(Gt::ZERO);
-        let mut base = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
-        let want = drive_contended(&mut base);
-        let mut net = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
-        net.set_pool(Arc::new(FrontierPool::new(4)));
-        net.set_lookahead_bound(1);
-        let got = drive_contended(&mut net);
-        assert_eq!(got, want, "degenerate window diverged from serial");
-        let ps = net.parallel_stats();
-        assert!(ps.epochs > 0, "frontier path never engaged");
-        assert_eq!(ps.epochs, ps.instants, "a 1 ns window batched instants");
-        assert_eq!(ps.instants_per_epoch(), 1.0);
-    }
-
-    #[test]
-    fn arbitrary_partition_assignments_are_byte_identical() {
-        use tss_sim::rng::SimRng;
-        let cfg = contended_cfg(Gt::ZERO);
-        let fabric = Fabric::butterfly(4, 2, 1);
-        let nv = fabric.num_nodes() + fabric.num_switches();
-        let mut base = DetailedNet::new(Arc::new(Fabric::butterfly(4, 2, 1)), cfg);
-        let want = drive_contended(&mut base);
-        let mut rng = SimRng::from_seed_and_stream(0xD37E, 7);
-        for round in 0..6 {
-            let parts = rng.gen_range(1..7);
-            let of_vertex: Vec<u32> = (0..nv).map(|_| rng.gen_range(0..parts) as u32).collect();
-            let threads = rng.gen_range(1..5) as usize;
-            let mut net = DetailedNet::new(Arc::new(Fabric::butterfly(4, 2, 1)), cfg);
-            net.set_partitions(Arc::new(FrontierPool::new(threads)), of_vertex.clone());
-            let got = drive_contended(&mut net);
-            assert_eq!(
-                got, want,
-                "partitioning {of_vertex:?} on {threads} threads diverged (round {round})"
-            );
-        }
+        assert_eq!(got, PINS, "detailed-net processing order moved");
     }
 }

@@ -278,13 +278,11 @@ impl<E> EventQueue<E> {
     /// instant. Returns the instant, or `None` (touching nothing) when
     /// the calendar is empty.
     ///
-    /// This is the frontier primitive of the parallel event loop: one
-    /// simulated instant is popped wholesale, its events are processed
-    /// concurrently, and their emissions are re-scheduled afterwards —
-    /// which is only equivalent to [`EventQueue::pop`]-per-event when no
-    /// handler schedules *at* the popped instant (the detailed network
-    /// guarantees that: every emission is at least one link latency or
-    /// occupancy period in the future).
+    /// The detailed network's event loop drains its calendar this way:
+    /// handling a popped instant's events afterwards is equivalent to
+    /// [`EventQueue::pop`]-per-event only because no handler schedules
+    /// *at* the popped instant (every emission is at least one link
+    /// latency or occupancy period in the future).
     ///
     /// Equivalent to calling `pop` while `peek_time()` returns the same
     /// instant.
@@ -309,55 +307,6 @@ impl<E> EventQueue<E> {
         self.occupied[self.cursor / 64] &= !(1 << (self.cursor % 64));
         self.settle();
         Some(at)
-    }
-
-    /// Removes every event pending at every instant up to and including
-    /// `limit` (in the queue's wrapping order), appending them to `out`
-    /// instant by instant in FIFO order and recording one `(instant,
-    /// event count)` pair per drained instant in `spans`. Advances the
-    /// clock to the last drained instant. Returns the number of instants
-    /// drained (0 — touching nothing — when the head is past `limit` or
-    /// the calendar is empty).
-    ///
-    /// This is the epoch primitive of the parallel event loop: a *window*
-    /// of consecutive instants whose total span is below the caller's
-    /// lookahead bound is popped wholesale and dispatched as one epoch.
-    /// Each instant is drained with [`EventQueue::pop_head_instant_into`],
-    /// so per-instant FIFO order — and therefore every downstream
-    /// sequence number — is exactly what repeated head pops would yield.
-    pub fn pop_window_into(
-        &mut self,
-        limit: Time,
-        out: &mut Vec<E>,
-        spans: &mut Vec<(Time, u32)>,
-    ) -> usize {
-        let mut drained = 0;
-        while let Some(at) = self.next_at {
-            if ord(at) > ord(limit) {
-                break;
-            }
-            let before = out.len();
-            self.pop_head_instant_into(out);
-            spans.push((at, (out.len() - before) as u32));
-            drained += 1;
-        }
-        drained
-    }
-
-    /// The number of ring-window events scheduled in `[now, limit]` — the
-    /// population a dispatch heuristic sees before committing to
-    /// [`EventQueue::pop_window_into`]. Deliberately a *lower bound*:
-    /// overflow-heap events (beyond the 1024 ns ring, far past any
-    /// realistic lookahead) are not counted, so a caller using this to
-    /// gate parallel dispatch errs toward the serial path, never toward
-    /// an oversized claim.
-    pub fn events_in_window(&self, limit: Time) -> usize {
-        if self.ring_len == 0 {
-            return 0;
-        }
-        let lim = limit.as_ns().wrapping_sub(self.base);
-        let hi = lim.min(SPAN as u64 - 1) as usize;
-        (self.cursor..=hi).map(|i| self.ring[i].len()).sum()
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -757,100 +706,6 @@ mod tests {
         assert_eq!(out, vec![1, 2], "FIFO across the overflow migration");
         assert_eq!(q.now(), far);
         assert_eq!(q.len(), 1);
-    }
-
-    /// `pop_window_into` must equal a run of `pop_head_instant_into`
-    /// calls while the head stays at or below the limit — across ties,
-    /// random window widths, and the overflow boundary (seeded loops,
-    /// repo convention).
-    #[test]
-    fn pop_window_matches_repeated_head_pops() {
-        for case in 0..30u64 {
-            let mut rng = SimRng::from_seed_and_stream(case, 0x9A7C);
-            let mut window = EventQueue::new();
-            let mut single = EventQueue::new();
-            let mut now = 0u64;
-            let mut id = 0u32;
-            for _ in 0..120 {
-                for _ in 0..1 + rng.gen_range(0..6) {
-                    let delta = match rng.gen_range(0..8) {
-                        0 => 0, // same-instant tie
-                        1..=5 => rng.gen_range(0..40),
-                        _ => rng.gen_range(0..3 * SPAN as u64),
-                    };
-                    let at = Time::from_ns(now + delta);
-                    window.schedule(at, id);
-                    single.schedule(at, id);
-                    id += 1;
-                }
-                if rng.gen_range(0..3) == 0 {
-                    let Some(head) = window.peek_time() else {
-                        continue;
-                    };
-                    let limit = Time::from_ns(head.as_ns() + rng.gen_range(0..30));
-                    let (mut got, mut spans) = (Vec::new(), Vec::new());
-                    let drained = window.pop_window_into(limit, &mut got, &mut spans);
-                    assert_eq!(drained, spans.len(), "case {case}: one span per instant");
-                    let mut want = Vec::new();
-                    let mut want_spans = Vec::new();
-                    while single
-                        .peek_time()
-                        .is_some_and(|t| ord(t) <= ord(limit))
-                    {
-                        let before = want.len();
-                        let t = single.pop_head_instant_into(&mut want).expect("peeked");
-                        want_spans.push((t, (want.len() - before) as u32));
-                    }
-                    assert_eq!(got, want, "case {case}: window events diverged");
-                    assert_eq!(spans, want_spans, "case {case}: instant spans diverged");
-                    assert_eq!(window.now(), single.now());
-                    assert_eq!(window.len(), single.len());
-                    assert_eq!(window.events_processed(), single.events_processed());
-                    now = window.now().as_ns().max(now);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pop_window_on_empty_queue_and_past_limits() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let (mut out, mut spans) = (Vec::new(), Vec::new());
-        assert_eq!(q.pop_window_into(Time::from_ns(100), &mut out, &mut spans), 0);
-        assert!(out.is_empty() && spans.is_empty());
-        q.schedule(Time::from_ns(50), 1);
-        // Limit before the head: nothing moves.
-        assert_eq!(q.pop_window_into(Time::from_ns(49), &mut out, &mut spans), 0);
-        assert_eq!(q.len(), 1);
-        // Overflow-only instants inside the limit migrate and drain too.
-        let far = Time::from_ns(SPAN as u64 * 5);
-        q.schedule(far, 2);
-        q.schedule(far, 3);
-        let n = q.pop_window_into(far, &mut out, &mut spans);
-        assert_eq!(n, 2);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(spans, vec![(Time::from_ns(50), 1), (far, 2)]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn events_in_window_counts_ring_population() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.events_in_window(Time::from_ns(1000)), 0);
-        q.schedule(Time::from_ns(10), 'a');
-        q.schedule(Time::from_ns(10), 'b');
-        q.schedule(Time::from_ns(14), 'c');
-        q.schedule(Time::from_ns(40), 'd');
-        assert_eq!(q.events_in_window(Time::from_ns(10)), 2);
-        assert_eq!(q.events_in_window(Time::from_ns(14)), 3);
-        assert_eq!(q.events_in_window(Time::from_ns(39)), 3);
-        assert_eq!(q.events_in_window(Time::from_ns(40)), 4);
-        // Overflow events are deliberately not counted (lower bound).
-        q.schedule(Time::from_ns(SPAN as u64 * 3), 'e');
-        assert_eq!(q.events_in_window(Time::from_ns(SPAN as u64 * 3)), 4);
-        let mut out = Vec::new();
-        while q.pop_head_instant_into(&mut out).is_some() {}
-        assert_eq!(q.events_in_window(Time::from_ns(u64::MAX)), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The work-stealing scheduler shared by grid runs, the `sweep-server`
-//! service, and the in-cell frontier pool ([`crate::pool`]).
+//! The work-stealing scheduler shared by grid runs and the `sweep-server`
+//! service.
 //!
 //! PR 5's parallel grid runner handed cells to workers through a single
 //! shared cursor — effectively static round-robin once the cell list was
@@ -29,8 +29,7 @@
 //! deterministic regardless of execution order) is the caller's business.
 //! That split lets the grid runner in the `tss` crate drive it with
 //! scoped borrowing threads while the server drives the same type from
-//! long-lived `Arc`-holding threads and the per-instant frontier pool
-//! feeds it boxed closures.
+//! long-lived `Arc`-holding threads.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -290,8 +289,8 @@ mod tests {
         assert_eq!(s.stats().submitted, 200);
     }
 
-    /// Stress for the in-cell frontier use: thousands of sub-microsecond
-    /// jobs on a handful of workers force constant steal contention. Each
+    /// Stress: thousands of sub-microsecond jobs on a handful of workers
+    /// force constant steal contention. Each
     /// job writes into its own index slot, so the final state must be
     /// independent of which worker ran what in which order — and `close`
     /// must stay safe however many times it is called, before, during,

@@ -168,14 +168,11 @@ fn token_network_total_order() {
     }
 }
 
-/// Conservative parallel cells are unobservable at grid scale: a random
-/// small grid (random topology, link occupancy, jitter, seed, and — half
-/// the time — a guarantee-time origin just below the era rollover) run
-/// with a random cell-thread count reproduces the single-thread
-/// [`GridReport`](tss::experiment::GridReport) byte for byte. The
-/// per-partition version of this property (arbitrary vertex → partition
-/// maps) lives next to the engine in `tss-net`; this is the end-to-end
-/// face the paper's figures depend on.
+/// Fanning cells out across grid workers is unobservable: a random small
+/// grid (random topology, link occupancy, jitter, seed, and — half the
+/// time — a guarantee-time origin just below the era rollover) run on a
+/// random number of worker threads reproduces the single-thread
+/// [`GridReport`](tss::experiment::GridReport) byte for byte.
 #[test]
 fn parallel_cells_reproduce_single_thread_grid_bytes() {
     for case in 0..5u64 {
@@ -198,7 +195,7 @@ fn parallel_cells_reproduce_single_thread_grid_bytes() {
                 .seeds([seed])
                 .perturbation(jitter, 2)
                 .gt_origin(origin)
-                .cell_threads(threads)
+                .threads(threads)
                 .run()
                 .expect("property grid is valid")
                 .to_json()
@@ -207,7 +204,7 @@ fn parallel_cells_reproduce_single_thread_grid_bytes() {
         let threads = 2 + rng.index(7); // 2..=8
         assert!(
             run(threads) == baseline,
-            "case {case}: grid bytes diverged between 1 and {threads} cell \
+            "case {case}: grid bytes diverged between 1 and {threads} grid \
              threads (topology {topology:?}, occupancy {occupancy}, jitter \
              {jitter}, seed {seed}, gt_origin {origin})"
         );
