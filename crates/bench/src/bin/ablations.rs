@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use tss::experiment::{ExperimentGrid, GridReport, RunReport};
 use tss::{ProtocolKind, Timing, TopologyKind};
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 use tss_net::{DetailedNet, DetailedNetConfig, Fabric, NodeId};
 use tss_proto::CacheConfig;
 use tss_sim::{Duration, Time};
@@ -201,13 +201,7 @@ fn contention_ablation() {
 }
 
 fn main() {
-    let mut cli = Cli::parse();
-    // The ablation cells run through private one-cell grids with
-    // overridden timing/caches, outside Cli::grid — the resume/shard
-    // flags would be silently ignored, so refuse them instead.
-    cli.forbid_shard("ablations");
-    cli.forbid_resume("ablations");
-    cli.forbid_remote("ablations");
+    let mut cli = Cli::parse(Bin::Ablations);
     // Ablations default to a smaller scale than the figures.
     if (cli.scale - tss_bench::DEFAULT_SCALE).abs() < 1e-12 {
         cli.scale = 1.0 / 128.0;

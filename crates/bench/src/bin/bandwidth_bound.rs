@@ -13,7 +13,7 @@
 
 use tss::analytic::bandwidth_bound;
 use tss::ProtocolKind;
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 use tss_net::Fabric;
 use tss_workloads::paper;
 
@@ -30,8 +30,7 @@ fn row(label: &str, fabric: &Fabric, block: u64) {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("bandwidth_bound");
+    let cli = Cli::parse(Bin::BandwidthBound);
     println!("Section 5 bandwidth accounting (per miss, link-bytes)");
     println!(
         "{:<34} {:>6} {:>10} {:>10} {:>10}",

@@ -10,11 +10,10 @@
 //! normalised to the first one listed.
 
 use tss::ProtocolKind;
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("fig3");
+    let cli = Cli::parse(Bin::Fig3);
     // Normalise to TS-Snoop when present (the paper's baseline), else to
     // the first protocol the user asked for.
     let baseline = if cli.protocols.contains(&ProtocolKind::TsSnoop) {

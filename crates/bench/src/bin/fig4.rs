@@ -7,11 +7,10 @@
 //! (equivalently, directories use 12–30 % less).
 
 use tss::ProtocolKind;
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("fig4");
+    let cli = Cli::parse(Bin::Fig4);
     // Normalise to TS-Snoop when present (the paper's baseline), else to
     // the first protocol the user asked for.
     let baseline = if cli.protocols.contains(&ProtocolKind::TsSnoop) {

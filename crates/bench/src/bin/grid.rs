@@ -16,7 +16,7 @@
 //!     --remote http://127.0.0.1:7070 --json results/full.json
 //! ```
 
-use tss_bench::{norm, Cli};
+use tss_bench::{norm, Bin, Cli};
 use tss_server::client::{self, GridRequest};
 
 /// Submits the grid to the sweep-server at `url`, streaming per-cell
@@ -82,7 +82,7 @@ fn run_local(cli: &Cli) -> tss::GridReport {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(Bin::Grid);
     let report = match &cli.remote {
         Some(url) => run_remote(&cli, url),
         None => run_local(&cli),

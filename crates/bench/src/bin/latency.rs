@@ -5,7 +5,7 @@
 
 use tss::experiment::{GridReport, RunReport};
 use tss::{System, SystemStats};
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 use tss_proto::{Block, CpuOp};
 use tss_workloads::{micro, TraceItem};
 
@@ -45,12 +45,7 @@ fn memory_stats(protocol: tss::ProtocolKind, topology: tss::TopologyKind) -> Sys
 }
 
 fn main() {
-    let cli = Cli::parse();
-    // Cells here are hand-measured microbenchmarks, not grid cells:
-    // neither content addressing nor sharding applies.
-    cli.forbid_shard("latency");
-    cli.forbid_resume("latency");
-    cli.forbid_remote("latency");
+    let cli = Cli::parse(Bin::Latency);
     println!("Single-miss latencies (unloaded; Table 2's measured counterparts)\n");
     println!(
         "{:<12} {:<12} {:>16} {:>16}",

@@ -10,12 +10,11 @@
 //! links saturate.
 
 use tss::{ProtocolKind, TopologyKind};
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 use tss_workloads::paper;
 
 fn main() {
-    let mut cli = Cli::parse();
-    cli.forbid_remote("scaling");
+    let mut cli = Cli::parse(Bin::Scaling);
     cli.scale = cli.scale.min(1.0 / 128.0); // keep 64-node runs snappy
     println!(
         "System-size scaling: OLTP at scale {:.4}, torus fabrics, TS-Snoop vs DirOpt",

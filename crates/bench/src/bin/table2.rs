@@ -6,7 +6,7 @@
 use tss::analytic::unloaded_latencies;
 use tss::experiment::{GridReport, RunReport};
 use tss::{ProtocolKind, System, SystemStats, Timing, TopologyKind};
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 use tss_proto::{Block, CpuOp};
 use tss_sim::stats::LatencyStat;
 use tss_workloads::micro;
@@ -79,12 +79,7 @@ fn measured_memory(protocol: ProtocolKind, topology: TopologyKind) -> (f64, Syst
 }
 
 fn main() {
-    let cli = Cli::parse();
-    // Cells here are hand-measured single-miss probes, not grid cells:
-    // neither content addressing nor sharding applies.
-    cli.forbid_shard("table2");
-    cli.forbid_resume("table2");
-    cli.forbid_remote("table2");
+    let cli = Cli::parse(Bin::Table2);
     let timing = Timing::default();
     println!("Table 2: Unloaded Network Timing Assumptions");
     println!("  Assumed: D_ovh=4ns  D_switch=15ns  D_mem=80ns  D_cache=25ns\n");

@@ -8,11 +8,10 @@
 //! alongside for comparison; note the miss counts scale with `--scale`.
 
 use tss::{ProtocolKind, TopologyKind};
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("table3");
+    let cli = Cli::parse(Bin::Table3);
     println!(
         "Table 3: Benchmark Characteristics (scale {:.4})",
         cli.scale

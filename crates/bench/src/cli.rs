@@ -3,7 +3,10 @@
 //! Replaces the per-binary `Options` plumbing of the seed repo: parsing,
 //! axis filters, workload construction and JSON emission all live here, so
 //! a binary is just "build a grid, print a table, [`Cli::emit`] the
-//! report".
+//! report". Each binary parses as itself ([`Cli::parse`] takes its
+//! [`Bin`]), and one `match` in `Bin::reads` declares the flags it reads:
+//! any other flag is a parse error naming the binary and the flag, never
+//! a silent no-op.
 
 use std::path::PathBuf;
 
@@ -46,7 +49,7 @@ pub struct Cli {
     pub gt_origin: u64,
     /// `--remote <url>`: submit the grid to a running `sweep-server`
     /// instead of simulating locally. The artifact is byte-identical to
-    /// a local run; only `grid` accepts it (see [`Cli::forbid_remote`]).
+    /// a local run; only `grid` reads it.
     pub remote: Option<String>,
     /// Where to write the run's [`GridReport`] JSON, if anywhere.
     pub json: Option<PathBuf>,
@@ -72,8 +75,8 @@ impl Default for Cli {
     }
 }
 
-/// The usage text printed on `--help` or a parse error.
-pub const USAGE: &str = "\
+/// One usage row per flag; [`Bin::usage`] prints the rows a binary reads.
+const USAGE: &str = "\
 options:
   --scale <f>         workload scale factor (default 1/64)
   --seeds <n>         perturbation runs per cell (default 3)
@@ -94,9 +97,7 @@ options:
                       it stopped; the final artifact is byte-identical)
   --shard <i>/<n>     run only cells at grid index = i (mod n) and emit a
                       partial report (needs --json or --resume);
-                      reassemble with grid-merge. Single-grid binaries
-                      only; composite ones (latency, table2, ablations,
-                      contention) reject it
+                      reassemble with grid-merge
   --gt-origin <n>     start every guarantee-time counter at raw Gt value
                       n (default 0). Stress knob: results are provably
                       origin-invariant, so seeding just below an era
@@ -105,45 +106,193 @@ options:
   --remote <url>      submit the grid to a running sweep-server at
                       http://host:port instead of simulating locally;
                       the JSON artifact is byte-identical to a local
-                      run (grid only; execution knobs --shard,
-                      --resume and --gt-origin stay local-side)
+                      run (the execution knobs --shard, --resume and
+                      --gt-origin stay local-side)
   --json <path>       write the run's GridReport JSON artifact
   --help              print this message";
 
+/// One flag of the shared command line; see [`USAGE`] for each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flag {
+    Scale,
+    Seeds,
+    Perturbation,
+    Seed,
+    Protocols,
+    Topologies,
+    Workloads,
+    Net,
+    Contention,
+    Resume,
+    Shard,
+    GtOrigin,
+    Remote,
+    Json,
+}
+
+impl Flag {
+    /// Every flag, in usage order.
+    pub(crate) const ALL: [Flag; 14] = [
+        Flag::Scale,
+        Flag::Seeds,
+        Flag::Perturbation,
+        Flag::Seed,
+        Flag::Protocols,
+        Flag::Topologies,
+        Flag::Workloads,
+        Flag::Net,
+        Flag::Contention,
+        Flag::Resume,
+        Flag::Shard,
+        Flag::GtOrigin,
+        Flag::Remote,
+        Flag::Json,
+    ];
+
+    /// The flag as typed on the command line.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Flag::Scale => "--scale",
+            Flag::Seeds => "--seeds",
+            Flag::Perturbation => "--perturbation",
+            Flag::Seed => "--seed",
+            Flag::Protocols => "--protocols",
+            Flag::Topologies => "--topologies",
+            Flag::Workloads => "--workloads",
+            Flag::Net => "--net",
+            Flag::Contention => "--contention",
+            Flag::Resume => "--resume",
+            Flag::Shard => "--shard",
+            Flag::GtOrigin => "--gt-origin",
+            Flag::Remote => "--remote",
+            Flag::Json => "--json",
+        }
+    }
+}
+
+/// The bench binaries that parse a [`Cli`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bin {
+    /// The fully declarative runner.
+    Grid,
+    /// Figure 3 (normalised runtime).
+    Fig3,
+    /// Figure 4 (normalised link traffic).
+    Fig4,
+    /// Table 2 (unloaded latencies).
+    Table2,
+    /// Table 3 (benchmark characteristics).
+    Table3,
+    /// §5 bandwidth accounting.
+    BandwidthBound,
+    /// Design-choice ablations.
+    Ablations,
+    /// System-size sweep.
+    Scaling,
+    /// Single-miss latencies.
+    Latency,
+    /// Detailed-network occupancy × slack sweep.
+    Contention,
+}
+
+impl Bin {
+    /// The binary's name, as built by cargo.
+    pub fn name(self) -> &'static str {
+        match self {
+            Bin::Grid => "grid",
+            Bin::Fig3 => "fig3",
+            Bin::Fig4 => "fig4",
+            Bin::Table2 => "table2",
+            Bin::Table3 => "table3",
+            Bin::BandwidthBound => "bandwidth_bound",
+            Bin::Ablations => "ablations",
+            Bin::Scaling => "scaling",
+            Bin::Latency => "latency",
+            Bin::Contention => "contention",
+        }
+    }
+
+    /// Whether this binary reads `flag`: the one declaration of each
+    /// binary's command line. A binary that fixes an axis, measures its
+    /// cells outside [`Cli::grid`] or assembles its report from several
+    /// grids does not read the flags it would ignore. Only `grid` talks
+    /// to a sweep-server.
+    pub(crate) fn reads(self, flag: Flag) -> bool {
+        use Flag::*;
+        match self {
+            Bin::Grid => true,
+            Bin::Fig3 | Bin::Fig4 => flag != Remote,
+            Bin::Table3 => !matches!(flag, Remote | Protocols | Topologies),
+            Bin::Scaling => !matches!(flag, Remote | Protocols | Topologies | Workloads),
+            Bin::BandwidthBound => !matches!(flag, Remote | Protocols | Workloads),
+            // Two interleaved grids make one report: not one shardable grid.
+            Bin::Contention => !matches!(flag, Remote | Shard | Protocols),
+            Bin::Latency => matches!(flag, Protocols | Topologies | Json),
+            Bin::Ablations => matches!(flag, Scale | Seed | Perturbation | Json),
+            Bin::Table2 => flag == Json,
+        }
+    }
+
+    /// The usage text, listing exactly the flags this binary reads.
+    pub fn usage(self) -> String {
+        let mut rows = USAGE.split("\n  --");
+        let head = rows.next().unwrap_or_default();
+        let mut text = format!("usage: {} [options]\n{head}", self.name());
+        for row in rows {
+            let name = format!("--{}", row.split(' ').next().unwrap_or_default());
+            let flag = Flag::ALL.into_iter().find(|f| f.name() == name);
+            // `--help` is no `Flag`: every binary takes it.
+            if flag.is_none_or(|f| self.reads(f)) {
+                text += "\n  --";
+                text += row;
+            }
+        }
+        text
+    }
+}
+
 impl Cli {
-    /// Parses `std::env::args`, printing usage and exiting on error or
-    /// `--help`.
-    pub fn parse() -> Cli {
+    /// Parses `std::env::args` as binary `bin`, printing its usage and
+    /// exiting on error (status 2) or `--help` (status 0).
+    pub fn parse(bin: Bin) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Cli::parse_from(&args) {
+        match Cli::parse_from(bin, &args) {
             Ok(cli) => cli,
             Err(msg) => {
                 if msg == "help" {
-                    println!("{USAGE}");
+                    println!("{}", bin.usage());
                     std::process::exit(0);
                 }
-                eprintln!("error: {msg}\n{USAGE}");
+                eprintln!("error: {msg}\n{}", bin.usage());
                 std::process::exit(2);
             }
         }
     }
 
-    /// Parses an explicit argument list (testable core of [`Cli::parse`]).
-    pub fn parse_from(args: &[String]) -> Result<Cli, String> {
+    /// Parses an explicit argument list as binary `bin` (testable core
+    /// of [`Cli::parse`]). A flag `bin` does not read is an error.
+    pub fn parse_from(bin: Bin, args: &[String]) -> Result<Cli, String> {
         let mut cli = Cli::default();
         let mut explicit_net: Option<NetworkModelSpec> = None;
         let mut contention_ns: Option<u64> = None;
         let mut i = 0;
         while i < args.len() {
-            let flag = args[i].as_str();
-            if flag == "--help" || flag == "-h" {
+            let arg = args[i].as_str();
+            if arg == "--help" || arg == "-h" {
                 return Err("help".into());
+            }
+            let flag = Flag::ALL
+                .into_iter()
+                .find(|f| f.name() == arg)
+                .ok_or_else(|| format!("unknown option {arg}"))?;
+            if !bin.reads(flag) {
+                return Err(format!("{} does not take {arg}", bin.name()));
             }
             let value = args
                 .get(i + 1)
-                .ok_or_else(|| format!("{flag} needs a value"))?;
+                .ok_or_else(|| format!("{arg} needs a value"))?;
             match flag {
-                "--scale" => {
+                Flag::Scale => {
                     cli.scale = value
                         .parse::<f64>()
                         .ok()
@@ -152,7 +301,7 @@ impl Cli {
                             format!("--scale must be a positive number, got {value:?}")
                         })?;
                 }
-                "--seeds" => {
+                Flag::Seeds => {
                     cli.seeds = value
                         .parse::<u64>()
                         .ok()
@@ -161,42 +310,42 @@ impl Cli {
                             format!("--seeds must be a positive integer, got {value:?}")
                         })?;
                 }
-                "--perturbation" => {
+                Flag::Perturbation => {
                     cli.perturbation_ns = value
                         .parse()
                         .map_err(|_| format!("bad --perturbation {value:?}"))?;
                 }
-                "--seed" => {
+                Flag::Seed => {
                     cli.seed = value.parse().map_err(|_| format!("bad --seed {value:?}"))?;
                 }
-                "--protocols" => {
+                Flag::Protocols => {
                     cli.protocols = value
                         .split(',')
                         .map(|p| p.parse().map_err(|e| format!("{e}")))
                         .collect::<Result<_, _>>()?;
                 }
-                "--topologies" => {
+                Flag::Topologies => {
                     cli.topologies = value
                         .split(',')
                         .map(|t| t.parse().map_err(|e| format!("{e}")))
                         .collect::<Result<_, _>>()?;
                 }
-                "--workloads" => {
+                Flag::Workloads => {
                     cli.workloads =
                         Some(value.split(',').map(|w| w.to_ascii_lowercase()).collect());
                 }
-                "--net" => {
+                Flag::Net => {
                     explicit_net = Some(value.parse().map_err(|e| format!("{e}"))?);
                 }
-                "--contention" => {
+                Flag::Contention => {
                     contention_ns = Some(
                         value
                             .parse()
                             .map_err(|_| format!("bad --contention {value:?}"))?,
                     );
                 }
-                "--resume" => cli.resume = Some(PathBuf::from(value)),
-                "--shard" => {
+                Flag::Resume => cli.resume = Some(PathBuf::from(value)),
+                Flag::Shard => {
                     let parsed = value
                         .split_once('/')
                         .and_then(|(i, n)| Some((i.parse::<u32>().ok()?, n.parse::<u32>().ok()?)));
@@ -204,16 +353,13 @@ impl Cli {
                         .filter(|(i, n)| *n > 0 && i < n)
                         .ok_or_else(|| format!("--shard wants I/N with I < N, got {value:?}"))?;
                 }
-                "--gt-origin" => {
+                Flag::GtOrigin => {
                     cli.gt_origin = value
                         .parse()
                         .map_err(|_| format!("bad --gt-origin {value:?}"))?;
                 }
-                "--remote" => cli.remote = Some(value.clone()),
-                "--json" => cli.json = Some(PathBuf::from(value)),
-                other => {
-                    return Err(format!("unknown option {other}"));
-                }
+                Flag::Remote => cli.remote = Some(value.clone()),
+                Flag::Json => cli.json = Some(PathBuf::from(value)),
             }
             i += 2;
         }
@@ -270,48 +416,6 @@ impl Cli {
             }
         }
         Ok(cli)
-    }
-
-    /// Aborts (exit 2) when `--shard` was given to a binary whose report
-    /// is assembled from multiple grids or hand-measured cells: such a
-    /// composite is not one round-robin slice of one grid, so its parts
-    /// could neither merge nor safely pose as complete reports.
-    pub fn forbid_shard(&self, bin: &str) {
-        if self.shard.1 > 1 {
-            eprintln!(
-                "error: {bin} assembles a composite report that cannot be sharded; \
-                 use the single-grid binaries (grid, fig3, fig4, scaling, table3, \
-                 bandwidth_bound) with --shard, or run {bin} unsharded"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    /// Aborts (exit 2) when `--resume` was given to a binary that runs
-    /// its cells outside [`Cli::grid`]: silently ignoring the flag would
-    /// let the user believe finished work was being cached.
-    pub fn forbid_resume(&self, bin: &str) {
-        if self.resume.is_some() {
-            eprintln!(
-                "error: {bin} measures its cells outside the experiment grid, so \
-                 --resume has nothing to cache; drop the flag"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    /// Aborts (exit 2) when `--remote` was given to a binary other than
-    /// `grid`: the composite and fixed-axis binaries post-process their
-    /// cells locally, so shipping the grid to a sweep-server would change
-    /// what the binary means, not just where it runs.
-    pub fn forbid_remote(&self, bin: &str) {
-        if self.remote.is_some() {
-            eprintln!(
-                "error: {bin} does not speak to a sweep-server; use \
-                 `grid --remote` for remote sweeps"
-            );
-            std::process::exit(2);
-        }
     }
 
     /// The paper workloads selected by `--workloads`, at `--scale`, in
@@ -379,9 +483,14 @@ mod tests {
         s.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses as `grid`, the binary that reads every flag.
+    fn grid(s: &[&str]) -> Result<Cli, String> {
+        Cli::parse_from(Bin::Grid, &args(s))
+    }
+
     #[test]
     fn defaults_match_documented_methodology() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = grid(&[]).unwrap();
         assert!((cli.scale - 1.0 / 64.0).abs() < 1e-12);
         assert_eq!(cli.seeds, 3);
         assert_eq!(cli.perturbation_ns, 4);
@@ -392,7 +501,7 @@ mod tests {
 
     #[test]
     fn filters_parse() {
-        let cli = Cli::parse_from(&args(&[
+        let cli = grid(&[
             "--protocols",
             "ts-snoop,dir-opt",
             "--topologies",
@@ -403,7 +512,7 @@ mod tests {
             "out.json",
             "--seed",
             "9",
-        ]))
+        ])
         .unwrap();
         assert_eq!(
             cli.protocols,
@@ -429,21 +538,15 @@ mod tests {
 
     #[test]
     fn net_and_contention_flags_parse() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = grid(&[]).unwrap();
         assert_eq!(cli.net, NetworkModelSpec::Fast);
 
         // --contention alone opts into the detailed model.
-        let cli = Cli::parse_from(&args(&["--contention", "5"])).unwrap();
+        let cli = grid(&["--contention", "5"]).unwrap();
         assert_eq!(cli.net, NetworkModelSpec::detailed(5));
 
         // --net detailed with an explicit occupancy override.
-        let cli = Cli::parse_from(&args(&[
-            "--net",
-            "detailed:slack=4,depth=32",
-            "--contention",
-            "7",
-        ]))
-        .unwrap();
+        let cli = grid(&["--net", "detailed:slack=4,depth=32", "--contention", "7"]).unwrap();
         assert_eq!(
             cli.net,
             NetworkModelSpec::Detailed {
@@ -454,22 +557,22 @@ mod tests {
         );
 
         // The acceptance-path spelling.
-        let cli = Cli::parse_from(&args(&["--net", "detailed", "--contention", "5"])).unwrap();
+        let cli = grid(&["--net", "detailed", "--contention", "5"]).unwrap();
         assert_eq!(cli.net, NetworkModelSpec::detailed(5));
 
         // Contradictions and junk are rejected.
-        assert!(Cli::parse_from(&args(&["--net", "fast", "--contention", "5"])).is_err());
-        assert!(Cli::parse_from(&args(&["--net", "slow"])).is_err());
-        assert!(Cli::parse_from(&args(&["--contention", "x"])).is_err());
+        assert!(grid(&["--net", "fast", "--contention", "5"]).is_err());
+        assert!(grid(&["--net", "slow"]).is_err());
+        assert!(grid(&["--contention", "x"]).is_err());
     }
 
     #[test]
     fn resume_and_shard_flags_parse() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = grid(&[]).unwrap();
         assert_eq!(cli.shard, (0, 1));
         assert!(cli.resume.is_none());
 
-        let cli = Cli::parse_from(&args(&["--shard", "2/3", "--resume", "/tmp/cells"])).unwrap();
+        let cli = grid(&["--shard", "2/3", "--resume", "/tmp/cells"]).unwrap();
         assert_eq!(cli.shard, (2, 3));
         assert_eq!(
             cli.resume.as_deref(),
@@ -478,21 +581,21 @@ mod tests {
 
         for bad in ["3/3", "1/0", "2", "a/b", "-1/3", "1/3/5"] {
             assert!(
-                Cli::parse_from(&args(&["--shard", bad])).is_err(),
+                grid(&["--shard", bad]).is_err(),
                 "--shard {bad:?} should be rejected"
             );
         }
 
         // A shard whose output goes nowhere is wasted simulation.
-        let err = Cli::parse_from(&args(&["--shard", "0/2"])).unwrap_err();
+        let err = grid(&["--shard", "0/2"]).unwrap_err();
         assert!(err.contains("--json"), "{err}");
-        assert!(Cli::parse_from(&args(&["--shard", "0/2", "--json", "p.json"])).is_ok());
-        assert!(Cli::parse_from(&args(&["--shard", "0/2", "--resume", "/tmp/c"])).is_ok());
+        assert!(grid(&["--shard", "0/2", "--json", "p.json"]).is_ok());
+        assert!(grid(&["--shard", "0/2", "--resume", "/tmp/c"]).is_ok());
     }
 
     #[test]
     fn sharded_grid_emits_a_partial_report() {
-        let cli = Cli::parse_from(&args(&[
+        let cli = grid(&[
             "--workloads",
             "barnes",
             "--scale",
@@ -505,7 +608,7 @@ mod tests {
             "1/3",
             "--json",
             "/tmp/unused-part.json", // required with --shard; not written here
-        ]))
+        ])
         .unwrap();
         let report = cli.grid("cli-shard-unit").run().unwrap();
         assert!(!report.is_complete());
@@ -519,7 +622,7 @@ mod tests {
 
     #[test]
     fn remote_flag_parses_and_rejects_local_execution_knobs() {
-        let cli = Cli::parse_from(&args(&["--remote", "http://127.0.0.1:7070"])).unwrap();
+        let cli = grid(&["--remote", "http://127.0.0.1:7070"]).unwrap();
         assert_eq!(cli.remote.as_deref(), Some("http://127.0.0.1:7070"));
 
         for (extra, needle) in [
@@ -529,25 +632,25 @@ mod tests {
         ] {
             let mut argv = args(&["--remote", "http://h:1"]);
             argv.extend(args(extra));
-            let err = Cli::parse_from(&argv).unwrap_err();
+            let err = Cli::parse_from(Bin::Grid, &argv).unwrap_err();
             assert!(err.contains(needle), "{err}");
         }
         // gt-origin 0 is the server's behaviour anyway: allowed.
-        assert!(Cli::parse_from(&args(&["--remote", "http://h:1", "--gt-origin", "0"])).is_ok());
+        assert!(grid(&["--remote", "http://h:1", "--gt-origin", "0"]).is_ok());
     }
 
     #[test]
     fn gt_origin_flag_parses() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = grid(&[]).unwrap();
         assert_eq!(cli.gt_origin, 0);
 
         // The CI wraparound stress seeds a few ticks below the era edge.
         let near_edge = ((1u64 << 48) - 64).to_string();
-        let cli = Cli::parse_from(&args(&["--gt-origin", &near_edge])).unwrap();
+        let cli = grid(&["--gt-origin", &near_edge]).unwrap();
         assert_eq!(cli.gt_origin, (1 << 48) - 64);
 
-        assert!(Cli::parse_from(&args(&["--gt-origin", "-1"])).is_err());
-        assert!(Cli::parse_from(&args(&["--gt-origin", "soon"])).is_err());
+        assert!(grid(&["--gt-origin", "-1"]).is_err());
+        assert!(grid(&["--gt-origin", "soon"]).is_err());
     }
 
     #[test]
@@ -555,29 +658,118 @@ mod tests {
         // Cells run serially; the one thread knob is grid-level fan-out
         // (`ExperimentGrid::threads`), a library setting the CLI does not
         // expose. `--threads` is an unknown option locally and remotely.
-        let err = Cli::parse_from(&args(&["--threads", "2"])).unwrap_err();
+        let err = grid(&["--threads", "2"]).unwrap_err();
         assert_eq!(err, "unknown option --threads");
-        let err =
-            Cli::parse_from(&args(&["--remote", "http://h:1", "--threads", "4"])).unwrap_err();
+        let err = grid(&["--remote", "http://h:1", "--threads", "4"]).unwrap_err();
         assert_eq!(err, "unknown option --threads");
-        assert!(Cli::parse_from(&args(&["--remote", "http://h:1"])).is_ok());
+        assert!(grid(&["--remote", "http://h:1"]).is_ok());
+    }
+
+    /// Each binary's flag contract, stated here independently of
+    /// [`Bin::reads`]: a flag parses exactly where the table lists it, a
+    /// refusal names the binary and the flag, `--help` lists the same
+    /// set, and every invocation written down in the results script, CI,
+    /// the verify notes and the README still parses (the argument-free
+    /// ones trivially do).
+    #[test]
+    fn each_binary_reads_exactly_its_declared_flags() {
+        use Flag::*;
+        let all_but = |skip: &[Flag]| {
+            Flag::ALL
+                .into_iter()
+                .filter(|f| !skip.contains(f))
+                .collect()
+        };
+        let table: [(Bin, Vec<Flag>); 10] = [
+            (Bin::Grid, Flag::ALL.to_vec()),
+            (Bin::Fig3, all_but(&[Remote])),
+            (Bin::Fig4, all_but(&[Remote])),
+            (Bin::Table3, all_but(&[Remote, Protocols, Topologies])),
+            (
+                Bin::Scaling,
+                all_but(&[Remote, Protocols, Topologies, Workloads]),
+            ),
+            (
+                Bin::BandwidthBound,
+                all_but(&[Remote, Protocols, Workloads]),
+            ),
+            (Bin::Contention, all_but(&[Remote, Shard, Protocols])),
+            (Bin::Latency, vec![Protocols, Topologies, Json]),
+            (Bin::Ablations, vec![Scale, Seed, Perturbation, Json]),
+            (Bin::Table2, vec![Json]),
+        ];
+        let sample = "--scale 0.01 --seeds 2 --perturbation 5 --seed 1 --protocols dir-opt \
+             --topologies torus --workloads oltp --net detailed --contention 5 \
+             --resume /tmp/cells --shard 0/2 --gt-origin 7 --remote http://h:1 --json out.json";
+        let sample = args(&sample.split_whitespace().collect::<Vec<_>>());
+        for (bin, reads) in &table {
+            let usage = bin.usage();
+            for (flag, pair) in Flag::ALL.into_iter().zip(sample.chunks(2)) {
+                let mut argv = pair.to_vec();
+                if flag == Shard {
+                    argv.extend(args(&["--json", "part.json"]));
+                }
+                let listed = reads.contains(&flag);
+                match Cli::parse_from(*bin, &argv) {
+                    Ok(_) => assert!(listed, "{bin:?} accepted {}", flag.name()),
+                    Err(err) => {
+                        assert_eq!(err, format!("{} does not take {}", bin.name(), flag.name()))
+                    }
+                }
+                let in_usage = usage.contains(&format!("\n  {} ", flag.name()));
+                assert_eq!(in_usage, listed, "{bin:?} usage vs {}", flag.name());
+            }
+        }
+
+        for line in [
+            // scripts/regen-results.sh
+            "fig3 --json results/fig3.json",
+            "grid --contention 5 --json results/grid.json",
+            "contention --seeds 1 --topologies torus --json results/contention.json",
+            // CI workflow
+            "grid --workloads barnes --scale 0.002 --seeds 1 --topologies torus \
+             --net detailed --contention 5 --gt-origin 281474976710640 --json /tmp/g.json",
+            "latency --json /tmp/latency.json",
+            "grid --workloads barnes,oltp --scale 0.002 --seeds 2 --shard 2/3 --json part-2.json",
+            "grid --workloads barnes,oltp --scale 0.002 --seeds 2 --resume cells --json warm.json",
+            "grid --workloads barnes --scale 0.002 --seeds 1 --topologies torus \
+             --remote http://127.0.0.1:7171 --json remote.json",
+            // Verify notes
+            "fig3 --scale 0.004 --seeds 1",
+            "contention --scale 0.005 --seeds 1 --topologies torus",
+            "grid --protocols ts-snoop,dir-classic,dir-opt,tardis --workloads barnes \
+             --scale 0.002 --seeds 1 --topologies torus --json four.json",
+            // README and binary docs
+            "grid --protocols ts-snoop,dir-opt --topologies torus:8x8 \
+             --workloads oltp,dss --scale 0.005 --json results/big-torus.json",
+            "contention --workloads oltp,barnes --topologies torus --json results/contention.json",
+            "grid --topologies torus:16x16 --net detailed --contention 5 --json t.json",
+            "grid --topologies torus:8x8 --resume /tmp/cells --json results/big.json",
+            "grid --remote http://127.0.0.1:7070 --json results/full.json",
+        ] {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let (bin, _) = table.iter().find(|(b, _)| b.name() == words[0]).unwrap();
+            if let Err(err) = Cli::parse_from(*bin, &args(&words[1..])) {
+                panic!("{line}: {err}");
+            }
+        }
     }
 
     #[test]
     fn bad_inputs_are_rejected() {
-        assert!(Cli::parse_from(&args(&["--scale", "0"])).is_err());
-        assert!(Cli::parse_from(&args(&["--scale", "-1"])).is_err());
-        assert!(Cli::parse_from(&args(&["--seeds", "0"])).is_err());
-        assert!(Cli::parse_from(&args(&["--protocols", "mesi"])).is_err());
-        assert!(Cli::parse_from(&args(&["--topologies", "ring"])).is_err());
-        assert!(Cli::parse_from(&args(&["--workloads", "specint"])).is_err());
-        assert!(Cli::parse_from(&args(&["--json"])).is_err());
-        assert!(Cli::parse_from(&args(&["--frobnicate", "1"])).is_err());
+        assert!(grid(&["--scale", "0"]).is_err());
+        assert!(grid(&["--scale", "-1"]).is_err());
+        assert!(grid(&["--seeds", "0"]).is_err());
+        assert!(grid(&["--protocols", "mesi"]).is_err());
+        assert!(grid(&["--topologies", "ring"]).is_err());
+        assert!(grid(&["--workloads", "specint"]).is_err());
+        assert!(grid(&["--json"]).is_err());
+        assert!(grid(&["--frobnicate", "1"]).is_err());
     }
 
     #[test]
     fn grid_carries_cli_axes() {
-        let cli = Cli::parse_from(&args(&[
+        let cli = grid(&[
             "--protocols",
             "dir-opt",
             "--workloads",
@@ -588,7 +780,7 @@ mod tests {
             "2",
             "--perturbation",
             "5",
-        ]))
+        ])
         .unwrap();
         let report = cli.grid("cli-unit").run().unwrap();
         assert_eq!(report.protocols, vec![ProtocolKind::DirOpt]);

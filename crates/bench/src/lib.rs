@@ -20,21 +20,23 @@
 //! | `grid-merge` | reassembles `--shard I/N` partial reports into the canonical grid artifact |
 //! | `cellstore` | cell-store maintenance: `gc [--purge] <dir>` (own CLI, see its docs) |
 //!
-//! All binaries share one CLI ([`Cli`]): `--scale`, `--seeds`,
-//! `--perturbation`, `--seed`, plus the grid filters `--protocols`,
-//! `--topologies`, `--workloads`, the address-network model selector
-//! `--net fast|detailed` / `--contention <ns>`, the resume/sharding
-//! layer `--resume <dir>` / `--shard I/N` (content-addressed cell reuse
-//! and round-robin grid partitioning — every single-grid binary gets
-//! both for free; the composite binaries `latency`, `table2` and
-//! `ablations` measure cells outside the grid and *reject* the flags
-//! rather than ignore them, and `contention` takes `--resume` but not
-//! `--shard` — see [`Cli::forbid_shard`]/[`Cli::forbid_resume`]),
-//! and `--json <path>` to write the run's
-//! [`GridReport`](tss::experiment::GridReport) artifact. `grid` alone
-//! also takes `--remote <url>` to submit the sweep to a running
-//! `sweep-server` (every other binary rejects it via
-//! [`Cli::forbid_remote`]). They construct
+//! The binaries above `perf` share one CLI ([`Cli`]), and each reads only
+//! the flags it can honour (`Bin::reads`); any other flag is a parse
+//! error (exit 2) naming the binary and the flag:
+//!
+//! | binary | reads |
+//! |---|---|
+//! | `grid` | every flag |
+//! | `fig3`, `fig4` | all but `--remote` |
+//! | `table3` | all but `--remote`, `--protocols`, `--topologies` |
+//! | `scaling` | all but `--remote`, `--protocols`, `--topologies`, `--workloads` |
+//! | `bandwidth_bound` | all but `--remote`, `--protocols`, `--workloads` |
+//! | `contention` | all but `--remote`, `--shard`, `--protocols` |
+//! | `latency` | `--protocols`, `--topologies`, `--json` |
+//! | `ablations` | `--scale`, `--seed`, `--perturbation`, `--json` |
+//! | `table2` | `--json` |
+//!
+//! `--help` on each binary describes its flags. The binaries construct
 //! systems exclusively through [`tss::SystemBuilder`] /
 //! [`tss::experiment::ExperimentGrid`].
 
@@ -44,7 +46,7 @@
 pub mod cli;
 pub mod harness;
 
-pub use cli::Cli;
+pub use cli::{Bin, Cli};
 
 /// Default workload scale for figure runs: 1/64 of the paper's footprint
 /// and reference counts keeps a full Figure 3 grid under a few minutes.

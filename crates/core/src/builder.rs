@@ -50,35 +50,15 @@ enum Drive {
 /// checker off.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
-    protocol: ProtocolKind,
-    topology: TopologyKind,
-    cache: CacheConfig,
-    timing: Timing,
-    net: NetworkModelSpec,
-    instructions_per_ns: u64,
-    perturbation_ns: u64,
-    seed: u64,
-    verify: bool,
-    record_observations: bool,
-    gt_origin: u64,
+    /// The configuration under construction, checked when built.
+    cfg: SystemConfig,
     drive: Drive,
 }
 
 impl Default for SystemBuilder {
     fn default() -> Self {
-        let base = SystemConfig::paper_default(ProtocolKind::TsSnoop, TopologyKind::Butterfly16);
         SystemBuilder {
-            protocol: base.protocol,
-            topology: base.topology,
-            cache: base.cache,
-            timing: base.timing,
-            net: base.net,
-            instructions_per_ns: base.instructions_per_ns,
-            perturbation_ns: base.perturbation_ns,
-            seed: base.seed,
-            verify: base.verify,
-            record_observations: base.record_observations,
-            gt_origin: base.gt_origin,
+            cfg: SystemConfig::paper_default(ProtocolKind::TsSnoop, TopologyKind::Butterfly16),
             drive: Drive::Idle,
         }
     }
@@ -92,19 +72,19 @@ impl SystemBuilder {
 
     /// Selects the coherence protocol (default: TS-Snoop).
     pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = protocol;
+        self.cfg.protocol = protocol;
         self
     }
 
     /// Selects the interconnect (default: the 16-node butterfly).
     pub fn topology(mut self, topology: TopologyKind) -> Self {
-        self.topology = topology;
+        self.cfg.topology = topology;
         self
     }
 
     /// Overrides the Table 2 timing knobs.
     pub fn timing(mut self, timing: Timing) -> Self {
-        self.timing = timing;
+        self.cfg.timing = timing;
         self
     }
 
@@ -127,13 +107,13 @@ impl SystemBuilder {
     /// assert!(detailed.stats.runtime.as_ns() > 0);
     /// ```
     pub fn network(mut self, net: NetworkModelSpec) -> Self {
-        self.net = net;
+        self.cfg.net = net;
         self
     }
 
     /// Overrides the L2 geometry (default: paper 4 MB / 4-way / 64 B).
     pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
+        self.cfg.cache = cache;
         self
     }
 
@@ -152,67 +132,54 @@ impl SystemBuilder {
     /// Sets the workload-generation seed (default 0). Perturbation noise
     /// derives from the same seed on an independent stream.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Sets the §4.3 response-jitter bound in nanoseconds (0 disables).
     pub fn perturbation_ns(mut self, ns: u64) -> Self {
-        self.perturbation_ns = ns;
+        self.cfg.perturbation_ns = ns;
         self
     }
 
     /// Sets the processor speed in instructions per nanosecond (paper: 4).
     pub fn instructions_per_ns(mut self, ips: u64) -> Self {
-        self.instructions_per_ns = ips;
+        self.cfg.instructions_per_ns = ips;
         self
     }
 
     /// Turns the coherence checker on or off (default off).
     pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
+        self.cfg.verify = on;
         self
     }
 
     /// Records per-operation observed values (litmus tests; default off).
     pub fn record_observations(mut self, on: bool) -> Self {
-        self.record_observations = on;
+        self.cfg.record_observations = on;
         self
     }
 
     /// Seeds every guarantee-time counter at this raw [`tss_sim::Gt`]
     /// value (default 0). A harness knob for wraparound stress runs:
     /// results must be — and CI checks they are — identical to origin 0,
-    /// so it is excluded from the configuration's serialized identity.
+    /// so it is not part of the cell identity.
     pub fn gt_origin(mut self, origin: u64) -> Self {
-        self.gt_origin = origin;
+        self.cfg.gt_origin = origin;
         self
     }
 
     /// Validates the configuration without building (cheap — no fabric
     /// construction), returning the would-be [`SystemConfig`].
     pub fn build_config(&self) -> Result<SystemConfig, ConfigError> {
-        self.validated().map(|(cfg, _)| cfg)
+        self.validate()?;
+        Ok(self.cfg.clone())
     }
 
     /// The single validation pass: every rule runs exactly once here, and
     /// the node count it computed is reused by [`SystemBuilder::build`].
-    fn validated(&self) -> Result<(SystemConfig, usize), ConfigError> {
-        let cfg = SystemConfig {
-            protocol: self.protocol,
-            topology: self.topology,
-            cache: self.cache,
-            timing: self.timing,
-            net: self.net,
-            instructions_per_ns: self.instructions_per_ns,
-            perturbation_ns: self.perturbation_ns,
-            perturbation_stream: 0,
-            seed: self.seed,
-            verify: self.verify,
-            record_observations: self.record_observations,
-            gt_origin: self.gt_origin,
-        };
-        let nodes = cfg.validate()? as usize;
+    fn validate(&self) -> Result<usize, ConfigError> {
+        let nodes = self.cfg.validate()? as usize;
         match &self.drive {
             Drive::Idle => {}
             Drive::Workload(spec) => validate_workload(spec)?,
@@ -225,12 +192,13 @@ impl SystemBuilder {
                 }
             }
         }
-        Ok((cfg, nodes))
+        Ok(nodes)
     }
 
     /// Validates and assembles the system, ready to [`System::run`].
     pub fn build(self) -> Result<System, ConfigError> {
-        let (cfg, nodes) = self.validated()?;
+        let nodes = self.validate()?;
+        let cfg = self.cfg;
         let streams: Vec<Box<dyn Iterator<Item = TraceItem> + Send>> = match self.drive {
             Drive::Idle => Vec::new(),
             Drive::Workload(spec) => (0..nodes)

@@ -12,10 +12,13 @@
 //! [`SystemConfig::validate`] and reports a typed [`ConfigError`] instead
 //! of panicking mid-run.
 //!
-//! Everything here is serde-serializable with a flat, human-editable JSON
-//! shape: enums that carry data ([`TopologyKind`], [`NetworkModelSpec`])
-//! serialize as their canonical `Display` strings, which `FromStr` parses
-//! back — the same spellings the bench CLI accepts.
+//! The axis and timing types are serde-serializable with a flat,
+//! human-editable JSON shape: enums that carry data ([`TopologyKind`],
+//! [`NetworkModelSpec`]) serialize as their canonical `Display` strings,
+//! which `FromStr` parses back — the same spellings the bench CLI
+//! accepts. [`SystemConfig`] itself has no serialized form: its identity
+//! is the document [`crate::experiment::CellKey::compute`] builds from
+//! it, field by field.
 
 use std::fmt;
 use std::str::FromStr;
@@ -616,6 +619,9 @@ impl Default for Timing {
 /// construction path: it funnels every consistency rule through
 /// [`SystemConfig::validate`] and reports [`ConfigError`]s instead of
 /// panicking mid-run.
+///
+/// A new field does not compile until [`crate::experiment::CellKey::compute`]
+/// either hashes it or names it as a harness knob.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Coherence protocol.
@@ -654,39 +660,8 @@ pub struct SystemConfig {
     /// This is a *harness* knob, not part of a configuration's identity:
     /// results are provably origin-invariant (the CI wraparound check
     /// compares a rollover-seeded run byte-for-byte against origin 0), so
-    /// the manual [`serde::Serialize`] impl below excludes it and cell
-    /// keys stay unchanged.
+    /// [`crate::experiment::CellKey::compute`] leaves it out of the hash.
     pub gt_origin: u64,
-}
-
-// Manual impl instead of the derive so `gt_origin` stays out of the
-// serialized form (see its docs). Field order must track
-// declaration order exactly — cell keys hash this serialization.
-impl serde::Serialize for SystemConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("protocol".into(), self.protocol.to_value()),
-            ("topology".into(), self.topology.to_value()),
-            ("cache".into(), self.cache.to_value()),
-            ("timing".into(), self.timing.to_value()),
-            ("net".into(), self.net.to_value()),
-            (
-                "instructions_per_ns".into(),
-                self.instructions_per_ns.to_value(),
-            ),
-            ("perturbation_ns".into(), self.perturbation_ns.to_value()),
-            (
-                "perturbation_stream".into(),
-                self.perturbation_stream.to_value(),
-            ),
-            ("seed".into(), self.seed.to_value()),
-            ("verify".into(), self.verify.to_value()),
-            (
-                "record_observations".into(),
-                self.record_observations.to_value(),
-            ),
-        ])
-    }
 }
 
 impl SystemConfig {
@@ -1061,43 +1036,6 @@ mod tests {
             no_buffers.validate(),
             Err(ConfigError::BadNetworkModel { reason }) if reason.contains("buffer")
         ));
-    }
-
-    /// `gt_origin` is a harness knob: two configs differing only in it
-    /// must serialize identically (cell keys hash this
-    /// serialization), and the serialized field list must stay exactly the
-    /// historical one.
-    #[test]
-    fn gt_origin_stays_out_of_the_serialized_identity() {
-        let base = SystemConfig::paper_default(ProtocolKind::TsSnoop, TopologyKind::Torus4x4);
-        let mut shifted = base.clone();
-        shifted.gt_origin = u64::MAX - 17;
-        let (a, b) = (
-            serde::Serialize::to_value(&base),
-            serde::Serialize::to_value(&shifted),
-        );
-        assert_eq!(a, b, "a harness knob leaked into the serialized form");
-        let serde::Value::Object(entries) = a else {
-            panic!("SystemConfig must serialize as an object");
-        };
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "protocol",
-                "topology",
-                "cache",
-                "timing",
-                "net",
-                "instructions_per_ns",
-                "perturbation_ns",
-                "perturbation_stream",
-                "seed",
-                "verify",
-                "record_observations",
-            ],
-            "serialized field list changed — this re-keys every grid cell"
-        );
     }
 
     #[test]

@@ -88,10 +88,11 @@ pub const CELL_REV: u32 = 4;
 /// two cells with equal keys would produce equal reports, so a finished
 /// cell can be cached in a [`CellStore`], skipped on resume, or computed
 /// by a different process or CI job and merged back in. Fields that
-/// cannot change the reported stats (`verify`, `record_observations`, the
-/// internally-swept `perturbation_stream`) are canonicalised out. The
-/// grid *name* is deliberately excluded: the same configuration run by
-/// `fig3` and by `grid` is the same cell.
+/// cannot change the reported stats (`verify`, `record_observations`,
+/// `gt_origin`, the internally-swept `perturbation_stream`) are left out
+/// by [`CellKey::compute`], the one place identity is decided. The grid
+/// *name* is deliberately excluded: the same configuration run by `fig3`
+/// and by `grid` is the same cell.
 ///
 /// Serialized as a fixed-width 32-digit lowercase hex string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,22 +100,51 @@ pub struct CellKey(u128);
 
 impl CellKey {
     /// Computes the key for one grid cell.
+    ///
+    /// The one place cell identity is decided. The destructure names
+    /// every [`SystemConfig`] field with no `..` rest, so a new field
+    /// does not compile until it is either hashed or bound to `_` as a
+    /// harness knob that cannot move the reported stats.
     pub fn compute(cfg: &SystemConfig, spec: &WorkloadSpec, perturbation_runs: u64) -> CellKey {
-        // Canonicalise the fields that cannot affect the reported stats,
-        // so e.g. a verifying test run and a bare benchmark run of the
-        // same cell share one identity.
-        let mut canon = cfg.clone();
-        canon.perturbation_stream = 0;
-        canon.verify = false;
-        canon.record_observations = false;
-        let doc = serde_json::Value::Object(vec![
-            ("rev".into(), serde_json::Value::U64(u64::from(CELL_REV))),
-            ("config".into(), serde_json::to_value(&canon)),
-            ("workload".into(), serde_json::to_value(spec)),
-            (
-                "perturbation_runs".into(),
-                serde_json::Value::U64(perturbation_runs),
-            ),
+        use serde::Serialize;
+        use serde_json::Value;
+        let SystemConfig {
+            protocol,
+            topology,
+            cache,
+            timing,
+            net,
+            instructions_per_ns,
+            perturbation_ns,
+            // Swept internally by the §4.3 loop, never part of one cell.
+            perturbation_stream: _,
+            seed,
+            // Checker and litmus recording observe a run; they change no stat.
+            verify: _,
+            record_observations: _,
+            // Results are origin-invariant (the wraparound CI check).
+            gt_origin: _,
+        } = cfg;
+        // The historical 11-field document, with the knobs that sit in it
+        // as constants, so every existing key is unchanged.
+        let config = Value::Object(vec![
+            ("protocol".into(), protocol.to_value()),
+            ("topology".into(), topology.to_value()),
+            ("cache".into(), cache.to_value()),
+            ("timing".into(), timing.to_value()),
+            ("net".into(), net.to_value()),
+            ("instructions_per_ns".into(), instructions_per_ns.to_value()),
+            ("perturbation_ns".into(), perturbation_ns.to_value()),
+            ("perturbation_stream".into(), Value::U64(0)),
+            ("seed".into(), seed.to_value()),
+            ("verify".into(), Value::Bool(false)),
+            ("record_observations".into(), Value::Bool(false)),
+        ]);
+        let doc = Value::Object(vec![
+            ("rev".into(), Value::U64(u64::from(CELL_REV))),
+            ("config".into(), config),
+            ("workload".into(), spec.to_value()),
+            ("perturbation_runs".into(), Value::U64(perturbation_runs)),
         ]);
         let text = serde_json::to_string(&doc).expect("value rendering is infallible");
         CellKey(tss_sim::hash::fingerprint128(text.as_bytes()))
@@ -776,15 +806,13 @@ pub struct ExperimentGrid {
     nets: Vec<NetworkModelSpec>,
     workloads: Vec<WorkloadSpec>,
     seeds: Vec<u64>,
-    perturbation_ns: u64,
     perturbation_runs: u64,
-    timing: Timing,
-    cache: CacheConfig,
-    verify: bool,
+    /// Every cell's configuration apart from the four axes (protocol,
+    /// topology, net, seed), which [`ExperimentGrid::plan`] fills in.
+    base: SystemConfig,
     threads: usize,
     resume: Option<PathBuf>,
     shard: ShardSpec,
-    gt_origin: u64,
 }
 
 impl ExperimentGrid {
@@ -799,15 +827,11 @@ impl ExperimentGrid {
             nets: vec![NetworkModelSpec::Fast],
             workloads: Vec::new(),
             seeds: vec![0],
-            perturbation_ns: 0,
             perturbation_runs: 1,
-            timing: Timing::default(),
-            cache: CacheConfig::paper_default(),
-            verify: false,
+            base: SystemConfig::paper_default(ProtocolKind::TsSnoop, TopologyKind::Butterfly16),
             threads: 0,
             resume: None,
             shard: ShardSpec::FULL,
-            gt_origin: 0,
         }
     }
 
@@ -867,37 +891,36 @@ impl ExperimentGrid {
     /// Sets the §4.3 methodology: jitter bound and number of perturbed
     /// runs per cell (the reported stats are the minimum-runtime run's).
     pub fn perturbation(mut self, ns: u64, runs: u64) -> Self {
-        self.perturbation_ns = ns;
+        self.base.perturbation_ns = ns;
         self.perturbation_runs = runs;
         self
     }
 
     /// Overrides Table 2 timing for every cell.
     pub fn timing(mut self, timing: Timing) -> Self {
-        self.timing = timing;
+        self.base.timing = timing;
         self
     }
 
     /// Overrides the L2 geometry for every cell.
     pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
+        self.base.cache = cache;
         self
     }
 
     /// Runs every cell with the coherence checker on (slower; tests).
     pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
+        self.base.verify = on;
         self
     }
 
     /// Seeds every guarantee-time counter at `origin` raw [`tss_sim::Gt`]
-    /// ticks. A harness knob, not cell identity: it is excluded from the
-    /// serialized [`SystemConfig`] (and thus from [`CellKey`]) because a
-    /// run seeded just below the era rollover must be byte-identical to
-    /// the same run at origin 0 — that equivalence is exactly what the CI
-    /// wraparound stress check asserts.
+    /// ticks. A harness knob, not cell identity: [`CellKey::compute`]
+    /// leaves it out because a run seeded just below the era rollover
+    /// must be byte-identical to the same run at origin 0 — that
+    /// equivalence is exactly what the CI wraparound stress check asserts.
     pub fn gt_origin(mut self, origin: u64) -> Self {
-        self.gt_origin = origin;
+        self.base.gt_origin = origin;
         self
     }
 
@@ -960,16 +983,9 @@ impl ExperimentGrid {
                             let cfg = SystemConfig {
                                 protocol,
                                 topology,
-                                cache: self.cache,
-                                timing: self.timing,
                                 net,
-                                instructions_per_ns: 4,
-                                perturbation_ns: self.perturbation_ns,
-                                perturbation_stream: 0,
                                 seed,
-                                verify: self.verify,
-                                record_observations: false,
-                                gt_origin: self.gt_origin,
+                                ..self.base
                             };
                             // Fail fast on any invalid cell, including the
                             // cells other shards would run.
@@ -1002,7 +1018,7 @@ impl ExperimentGrid {
             nets: self.nets.clone(),
             workloads: self.workloads.iter().map(|w| w.name.clone()).collect(),
             seeds: self.seeds.clone(),
-            perturbation_ns: self.perturbation_ns,
+            perturbation_ns: self.base.perturbation_ns,
             perturbation_runs: self.perturbation_runs,
             cells,
         })
@@ -1120,8 +1136,7 @@ impl GridPlan {
                 let (sched, slots, perf) = (&sched, &slots, &perf);
                 scope.spawn(move || {
                     while let Some(i) = sched.next(w) {
-                        let (report, cell_perf) =
-                            run_or_load_cell_with_perf(store, &self.cells[i]);
+                        let (report, cell_perf) = run_or_load_cell_with_perf(store, &self.cells[i]);
                         perf.lock()
                             .expect("no worker panicked holding the lock")
                             .absorb(&cell_perf);
@@ -1319,7 +1334,7 @@ mod tests {
             CellKey::compute(&cfg, &paper::barnes(1.0), 3),
         );
 
-        // ...and the harness knobs that cannot are canonicalised out:
+        // ...and the harness knobs that cannot are left out:
         // a gt-shifted run is byte-identical to the origin-0 run, so
         // cached cells must stay valid across them.
         let mut same = cfg.clone();
@@ -1444,9 +1459,8 @@ mod tests {
     /// Guard for the Tardis protocol-axis extension: adding the fourth
     /// `ProtocolKind` variant must not move a single pre-existing cell
     /// key, and the code-revision salt must not bump (existing results
-    /// did not change). Same style as the `gt_origin`
-    /// exclusion guard in `config.rs`: the canonical serialized
-    /// identity is pinned byte-for-byte via its fingerprint.
+    /// did not change). The identity document [`CellKey::compute`]
+    /// builds is pinned byte-for-byte via its fingerprint.
     #[test]
     fn tardis_variant_leaves_existing_cell_keys_unchanged() {
         assert_eq!(CELL_REV, 4, "adding a protocol must not salt old cells");

@@ -556,8 +556,7 @@ mod tests {
     /// The Tardis lease counters must be invisible in any stats the
     /// three broadcast/directory protocols produce: their serialized
     /// form stays exactly the six legacy keys, in declaration order, so
-    /// every committed artifact remains byte-identical. Same style as
-    /// the `gt_origin`/`threads` exclusion guards in the core config.
+    /// every committed artifact remains byte-identical.
     #[test]
     fn lease_counters_stay_out_of_zero_serialized_stats() {
         use serde::{Deserialize, Serialize};

@@ -52,7 +52,6 @@ const SPAN: usize = 1024;
 /// q.schedule(Time::from_ns(3), 'a');
 /// assert_eq!(q.len(), 3);
 /// assert_eq!(q.peek_time(), Some(Time::from_ns(3)));
-/// assert_eq!(q.peek_at(), Some((Time::from_ns(3), &'a')));
 /// let drained: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(drained, vec!['a', 'b', 'c']);
 /// ```
@@ -154,36 +153,6 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the current simulation time: an event
     /// handler may only schedule into the present or future.
     pub fn schedule(&mut self, at: Time, event: E) {
-        match self.window_index(at) {
-            Some(i) => {
-                if self.ring_len == 0 || i < self.cursor {
-                    self.cursor = i;
-                }
-                self.ring[i].push_back(event);
-                self.occupied[i / 64] |= 1 << (i % 64);
-                self.ring_len += 1;
-            }
-            None => {
-                // `seq` orders overflow entries among themselves; ring
-                // buckets are FIFO by construction and don't need it.
-                self.seq += 1;
-                self.overflow.push(Reverse(Overflow {
-                    key: GtKey::new(ord(at), self.seq),
-                    event,
-                }));
-            }
-        }
-        if self.next_at.is_none_or(|n| ord(at) < ord(n)) {
-            self.next_at = Some(at);
-        }
-    }
-
-    /// Validates `at`, re-anchors an exhausted window, and returns the
-    /// ring index for `at` — or `None` when it belongs in the overflow
-    /// heap. The one place the window invariants live, shared by
-    /// [`EventQueue::schedule`] and [`EventQueue::schedule_batch`].
-    #[inline]
-    fn window_index(&mut self, at: Time) -> Option<usize> {
         assert!(
             ord(at) >= ord(self.now),
             "event scheduled in the past ({at:?} < now {:?})",
@@ -201,46 +170,24 @@ impl<E> EventQueue<E> {
         }
         let offset = t.wrapping_sub(self.base);
         if offset < SPAN as u64 {
-            Some(offset as usize)
+            let i = offset as usize;
+            if self.ring_len == 0 || i < self.cursor {
+                self.cursor = i;
+            }
+            self.ring[i].push_back(event);
+            self.occupied[i / 64] |= 1 << (i % 64);
+            self.ring_len += 1;
         } else {
-            None
+            // `seq` orders overflow entries among themselves; ring
+            // buckets are FIFO by construction and don't need it.
+            self.seq += 1;
+            self.overflow.push(Reverse(Overflow {
+                key: GtKey::new(ord(at), self.seq),
+                event,
+            }));
         }
-    }
-
-    /// Schedules a batch of events for one shared instant, amortising the
-    /// window checks and bookkeeping over the whole batch — the token
-    /// wave's emission pattern (every output link, same instant).
-    ///
-    /// Equivalent to calling [`EventQueue::schedule`] once per event, in
-    /// iterator order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current simulation time.
-    pub fn schedule_batch(&mut self, at: Time, events: impl IntoIterator<Item = E>) {
-        match self.window_index(at) {
-            Some(i) => {
-                let bucket = &mut self.ring[i];
-                let before = bucket.len();
-                bucket.extend(events);
-                let added = bucket.len() - before;
-                if added == 0 {
-                    return;
-                }
-                if self.ring_len == 0 || i < self.cursor {
-                    self.cursor = i;
-                }
-                self.occupied[i / 64] |= 1 << (i % 64);
-                self.ring_len += added;
-                if self.next_at.is_none_or(|n| ord(at) < ord(n)) {
-                    self.next_at = Some(at);
-                }
-            }
-            None => {
-                for event in events {
-                    self.schedule(at, event);
-                }
-            }
+        if self.next_at.is_none_or(|n| ord(at) < ord(n)) {
+            self.next_at = Some(at);
         }
     }
 
@@ -312,19 +259,6 @@ impl<E> EventQueue<E> {
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
         self.next_at
-    }
-
-    /// The earliest pending event and its timestamp, without removing it
-    /// or advancing the clock — what a profiler or fast-forward check
-    /// needs to inspect the head of the calendar.
-    pub fn peek_at(&self) -> Option<(Time, &E)> {
-        if self.ring_len > 0 {
-            let t = Time::from_ns(self.base.wrapping_add(self.cursor as u64));
-            return self.ring[self.cursor].front().map(|e| (t, e));
-        }
-        self.overflow
-            .peek()
-            .map(|Reverse(o)| (Time::from_ns(o.at()), &o.event))
     }
 
     /// `Some(t)` when **every** pending event is scheduled for the single
@@ -519,10 +453,8 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.peek_at(), None);
         q.schedule(Time::from_ns(4), 'x');
         assert_eq!(q.peek_time(), Some(Time::from_ns(4)));
-        assert_eq!(q.peek_at(), Some((Time::from_ns(4), &'x')));
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((Time::from_ns(4), 'x')));
         assert!(q.is_empty());
@@ -543,9 +475,9 @@ mod tests {
         // Far beyond SPAN: exercises the overflow heap and rebase.
         q.schedule(Time::from_ns(1_000_000), 'z');
         q.schedule(Time::from_ns(3), 'a');
-        assert_eq!(q.peek_at(), Some((Time::from_ns(3), &'a')));
+        assert_eq!(q.peek_time(), Some(Time::from_ns(3)));
         assert_eq!(q.pop(), Some((Time::from_ns(3), 'a')));
-        assert_eq!(q.peek_at(), Some((Time::from_ns(1_000_000), &'z')));
+        assert_eq!(q.peek_time(), Some(Time::from_ns(1_000_000)));
         // A near event scheduled after the window emptied still comes first.
         q.schedule(Time::from_ns(40), 'b');
         assert_eq!(q.pop(), Some((Time::from_ns(40), 'b')));
@@ -723,30 +655,6 @@ mod tests {
         q.pop();
         q.pop();
         assert_eq!(q.single_instant(), Some(Time::from_ns(45)));
-    }
-
-    #[test]
-    fn schedule_batch_matches_sequential_schedules() {
-        let mut batch = EventQueue::new();
-        let mut seq = EventQueue::new();
-        batch.schedule(Time::from_ns(5), 0);
-        seq.schedule(Time::from_ns(5), 0);
-        batch.schedule_batch(Time::from_ns(20), [1, 2, 3]);
-        for e in [1, 2, 3] {
-            seq.schedule(Time::from_ns(20), e);
-        }
-        // Far-future batch exercises the per-item overflow fallback.
-        batch.schedule_batch(Time::from_ns(900_000), [4, 5]);
-        for e in [4, 5] {
-            seq.schedule(Time::from_ns(900_000), e);
-        }
-        loop {
-            let (a, b) = (batch.pop(), seq.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use tss::experiment::{ExperimentGrid, GridReport, SCHEMA_VERSION};
 use tss::{ConfigError, NetworkModelSpec, ProtocolKind, System, TopologyKind};
-use tss_bench::Cli;
+use tss_bench::{Bin, Cli};
 use tss_proto::CacheConfig;
 use tss_workloads::paper;
 
@@ -271,7 +271,7 @@ fn json_flag_writes_a_loadable_artifact() {
     .map(|s| s.to_string())
     .chain([path.to_string_lossy().into_owned()])
     .collect();
-    let cli = Cli::parse_from(&args).unwrap();
+    let cli = Cli::parse_from(Bin::Grid, &args).unwrap();
     let report = cli.grid("json-flag-test").run().unwrap();
     report.write_json(&path).unwrap();
 
